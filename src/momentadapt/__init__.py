@@ -37,6 +37,7 @@ from .densities import (
     GridDensity,
     GridResolutionError,
     MomentVector,
+    ProductDensity,
     Sample,
     SmoothnessReport,
     draw_sample,

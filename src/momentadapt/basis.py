@@ -57,10 +57,6 @@ class PolyBasis1D:
     def m(self) -> int:
         return self.degree
 
-    def eval_single(self, i: int, x: np.ndarray) -> np.ndarray:
-        """Evaluate eta_i at points x in [0,1] by the stable recurrence."""
-        return self.eval_all(x)[..., i]
-
     def eval_all(self, x) -> np.ndarray:
         """Evaluate eta_0..eta_m at x; output shape = x.shape + (m+1,).
 

@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .basis import PolyBasis1D, build_legendre_basis, coefficient_abs_sums
-from .densities import MomentVector, SmoothnessReport
+from .densities import MomentVector, SmoothnessReport, class_margins
 from .metrics import moment_l1
 
 
@@ -137,6 +137,11 @@ class L1Bound:
         }
 
 
+def theorem1_threshold(c_val: float, m: int) -> float:
+    """Largest moment distance 1/(2C(m+1)) at which the L1 bound applies."""
+    return 1.0 / (2.0 * c_val * (m + 1))
+
+
 def theorem1_l1_bound(
     mu_p: MomentVector,
     mu_q: MomentVector,
@@ -150,7 +155,7 @@ def theorem1_l1_bound(
         raise ValueError("epsilon must be non-negative")
     c_val, source = _resolve_constant(constants, m)
     dist = moment_l1(mu_p, mu_q)
-    threshold = 1.0 / (2.0 * c_val * (m + 1))
+    threshold = theorem1_threshold(c_val, m)
     if dist > threshold:
         return L1Bound(False, threshold, dist, c_val, source, epsilon, None)
     value = math.sqrt(2.0 * c_val) * dist + math.sqrt(8.0 * epsilon)
@@ -354,11 +359,9 @@ def smoothness_membership(
     """
     if report.m != m:
         raise ValueError(f"report computed for order {report.m}, not {m}")
-    a2_threshold = (3 * m - 6) / 2.0
-    a3_threshold = 5.0 ** (m - 4)
-    a1_margin = epsilon - report.epsilon
-    a2_margin = a2_threshold - report.c_inf
-    a3_margin = a3_threshold - float(np.max(report.c_r))
+    a1_margin, a2_margin, a3_margin = class_margins(
+        m, epsilon, report.epsilon, report.c_inf, report.c_r
+    )
     a1_ok = a1_margin >= -1e-12
     a2_ok = a2_margin >= 0
     a3_ok = a3_margin >= 0

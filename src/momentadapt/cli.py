@@ -262,7 +262,6 @@ def _cmd_basis(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="momentadapt", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1, help="worker count cap")
     parser.add_argument("-v", "--verbose", action="store_true", help="info logs on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -330,15 +329,9 @@ def main(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(message)s",
     )
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.fn(args)
-    except CliError as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DensityError, DegreeError, ValueError) as exc:
+    except (CliError, DensityError, DegreeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,6 +1,6 @@
 """Probability densities on [0,1]^N: construction, functionals, sampling.
 
-Two concrete representations are used everywhere:
+Three concrete representations are used everywhere:
 
 * GridDensity -- values tabulated on a Gauss tensor grid, optionally with a
   closed-form evaluator (truncated normals, mixtures, ad-hoc test
@@ -9,25 +9,26 @@ Two concrete representations are used everywhere:
   p(x) = prod_j c_j exp(-<lam_j, (eta_1..eta_m)(x_j)>)
   spanned by the per-coordinate Legendre features.  The basis contains only
   univariate terms, so members always factorize over dimensions.
+* ProductDensity -- independent 1-D densities, one per coordinate.
+
+Every density carries a `grid` whose rule j is its native 1-D quadrature
+for coordinate j.  Exponential-family members, products and 1-D densities
+are products of their 1-D marginals on that grid, so their functionals
+split into per-coordinate 1-D quadratures; only a multivariate
+GridDensity is integrated on the joint tensor grid.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .basis import TensorBasis, make_tensor_basis
-from .quadrature import (
-    QuadGridND,
-    QuadRule1D,
-    default_order,
-    gauss_rule,
-    tensor_grid,
-)
+from .quadrature import QuadGridND, gauss_rule, tensor_grid
 
 NORMALIZATION_TOL = 1e-9
 
@@ -168,11 +169,26 @@ class GridDensity:
         with np.errstate(divide="ignore"):
             return np.log(self.pdf(x))
 
+    def factor_pdf(self, j: int, x) -> np.ndarray:
+        """A 1-D grid density is its own only factor (j = 0)."""
+        if self.dim != 1:
+            raise DensityError("a multivariate grid density has no factors")
+        return self.pdf(np.asarray(x, dtype=float).reshape(-1, 1))
+
+    def marginal_values(self, j: int) -> np.ndarray:
+        """Marginal density of coordinate j at the nodes of grid.rules[j]."""
+        vals = self.values.reshape(tuple(r.order for r in self.grid.rules))
+        for axis in reversed(range(self.dim)):
+            if axis == j:
+                continue
+            vals = np.tensordot(vals, self.grid.rules[axis].weights, axes=([axis], [0]))
+        return vals
+
     def to_dict(self) -> dict:
         return {
             "type": "grid",
             "dim": self.dim,
-            "order": self.grid.rules[0].order,
+            "order": native_order(self),
             "values": self.values.tolist(),
         }
 
@@ -194,15 +210,18 @@ class ExpFamilyDensity:
         self.basis = basis
         self.lam = lam
         self.lam.setflags(write=False)
-        self._rule = gauss_rule(order)
-        feats = basis.per_dim.eval_all(self._rule.nodes)[:, 1:]  # (n, m)
+        rule = gauss_rule(order)
+        self.grid = QuadGridND(rules=(rule,) * basis.dim)
+        feats = basis.per_dim.eval_all(rule.nodes)[:, 1:]  # (n, m)
         m = basis.m
         self._log_z = np.empty(basis.dim)
-        self._factor_node_vals = np.empty((basis.dim, self._rule.order))
+        # factor densities at the rule nodes, kept so that moments, entropy
+        # and KL never recompute the exponentials
+        self._factor_node_vals = np.empty((basis.dim, rule.order))
         for j in range(basis.dim):
             expo = -feats @ lam[j * m : (j + 1) * m]
             shift = float(np.max(expo))
-            z = self._rule.integrate_values(np.exp(expo - shift))
+            z = rule.integrate_values(np.exp(expo - shift))
             self._log_z[j] = shift + math.log(z)
             self._factor_node_vals[j] = np.exp(expo - self._log_z[j])
         self._log_z.setflags(write=False)
@@ -240,19 +259,9 @@ class ExpFamilyDensity:
         feats = self.basis.per_dim.eval_all(x)[..., 1:]
         return np.exp(-feats @ self.lam_dim(j) - self._log_z[j])
 
-    def factor_moments(self, j: int) -> np.ndarray:
-        """E[eta_1..eta_m(x_j)] by 1-D quadrature."""
-        feats = self.basis.per_dim.eval_all(self._rule.nodes)[:, 1:]
-        pvals = self._factor_node_vals[j]
-        return feats.T @ (self._rule.weights * pvals)
-
-    def factor_covariance(self, j: int) -> np.ndarray:
-        """Covariance of the features under the j-th factor."""
-        feats = self.basis.per_dim.eval_all(self._rule.nodes)[:, 1:]
-        w = self._rule.weights * self._factor_node_vals[j]
-        first = feats.T @ w
-        second = feats.T @ (feats * w[:, None])
-        return second - np.outer(first, first)
+    def marginal_values(self, j: int) -> np.ndarray:
+        """Factor j at the nodes of grid.rules[j]."""
+        return self._factor_node_vals[j]
 
     def to_dict(self) -> dict:
         return {
@@ -263,7 +272,54 @@ class ExpFamilyDensity:
         }
 
 
-Density = Union[GridDensity, ExpFamilyDensity]
+class ProductDensity:
+    """Product of independent 1-D densities over [0,1]^N.
+
+    Rule j of `grid` is the native rule of factor j.  Nothing is tabulated
+    on the joint grid: every functional of a product splits into 1-D
+    functionals of its factors.
+    """
+
+    def __init__(self, factors: Sequence[Density]):
+        factors = tuple(factors)
+        if not factors or any(f.dim != 1 for f in factors):
+            raise DensityError("factors must be one-dimensional")
+        self.factors = factors
+        self.grid = QuadGridND(rules=tuple(f.grid.rules[0] for f in factors))
+
+    @property
+    def dim(self) -> int:
+        return len(self.factors)
+
+    def pdf(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        single = x.ndim == 1
+        pts = np.atleast_2d(x)
+        out = np.ones(pts.shape[0])
+        for j in range(self.dim):
+            out *= self.factor_pdf(j, pts[:, j])
+        return out[0] if single else out
+
+    def factor_pdf(self, j: int, x) -> np.ndarray:
+        """1-D density of factor j."""
+        return self.factors[j].factor_pdf(0, x)
+
+    def marginal_values(self, j: int) -> np.ndarray:
+        """Factor j at the nodes of grid.rules[j]."""
+        return self.factors[j].marginal_values(0)
+
+
+Density = Union[GridDensity, ExpFamilyDensity, ProductDensity]
+
+
+def native_order(p: Density) -> int:
+    """Finest 1-D quadrature order of p's own grid."""
+    return max(r.order for r in p.grid.rules)
+
+
+def _is_product(p: Density) -> bool:
+    """Whether p is the product of its 1-D marginals on p.grid."""
+    return p.dim == 1 or not isinstance(p, GridDensity)
 
 
 def uniform_density(dim: int, order: Optional[int] = None) -> GridDensity:
@@ -296,40 +352,15 @@ def from_callable(
     return GridDensity(tensor_grid(dim, order), raw=fn)
 
 
-def product_density(factors: Sequence[GridDensity]) -> GridDensity:
-    """Product of independent 1-D grid densities."""
-    if any(f.dim != 1 for f in factors):
-        raise DensityError("factors must be one-dimensional")
-
-    def raw(p: np.ndarray) -> np.ndarray:
-        out = np.ones(p.shape[0])
-        for j, f in enumerate(factors):
-            out *= f.pdf(p[:, j : j + 1])
-        return out
-
-    grid = QuadGridND(rules=tuple(f.grid.rules[0] for f in factors))
-    density = GridDensity(grid, raw=raw)
-    density._product_factors = tuple(factors)  # used by sampling
-    return density
-
-
-def _marginal_on_rule(p: GridDensity, j: int) -> np.ndarray:
-    """Marginal density values at the 1-D quadrature nodes of dimension j."""
-    shape = tuple(r.order for r in p.grid.rules)
-    vals = p.values.reshape(shape)
-    for axis in reversed(range(p.dim)):
-        if axis == j:
-            continue
-        vals = np.tensordot(vals, p.grid.rules[axis].weights, axes=([axis], [0]))
-    return vals
+def product_density(factors: Sequence[Density]) -> ProductDensity:
+    """Product of independent 1-D densities."""
+    return ProductDensity(factors)
 
 
 def marginal_pdf(p: Density, j: int) -> Callable[[np.ndarray], np.ndarray]:
     """Closed-form marginal density of coordinate j as a callable on [0,1]."""
-    if isinstance(p, ExpFamilyDensity):
+    if _is_product(p):
         return lambda x: p.factor_pdf(j, x)
-    if p.dim == 1:
-        return lambda x: p.pdf(np.asarray(x, dtype=float).reshape(-1, 1))
     if not p.has_evaluator:
         raise DensityError("marginal of a value-only grid density is undefined")
     other = [ax for ax in range(p.dim) if ax != j]
@@ -356,23 +387,9 @@ def moments(p: Density, basis: TensorBasis) -> MomentVector:
         raise DensityError(f"basis dim {basis.dim} != density dim {p.dim}")
     m = basis.m
     out = np.empty(basis.n_features)
-    if isinstance(p, ExpFamilyDensity):
-        if basis.m == p.basis.m:
-            for j in range(p.dim):
-                out[j * m : (j + 1) * m] = p.factor_moments(j)
-        else:
-            rule = gauss_rule(128)
-            feats = basis.per_dim.eval_all(rule.nodes)[:, 1:]
-            for j in range(p.dim):
-                pvals = p.factor_pdf(j, rule.nodes)
-                out[j * m : (j + 1) * m] = feats.T @ (rule.weights * pvals)
-        return MomentVector(basis=basis, values=out)
-    # grid density: marginalize over the product grid, then 1-D quadrature
-    for j in range(p.dim):
-        rule = p.grid.rules[j]
-        marg = _marginal_on_rule(p, j)
+    for j, rule in enumerate(p.grid.rules):
         feats = basis.per_dim.eval_all(rule.nodes)[:, 1:]
-        out[j * m : (j + 1) * m] = feats.T @ (rule.weights * marg)
+        out[j * m : (j + 1) * m] = feats.T @ (rule.weights * p.marginal_values(j))
     return MomentVector(basis=basis, values=out)
 
 
@@ -387,59 +404,53 @@ def sample_moments(sample: Sample, basis: TensorBasis) -> MomentVector:
     return MomentVector(basis=basis, values=vals.mean(axis=0))
 
 
+def _xlogx(vals: np.ndarray) -> np.ndarray:
+    return np.where(vals > 0, vals * np.log(np.maximum(vals, 1e-300)), 0.0)
+
+
 def entropy(p: Density) -> float:
     """Shannon differential entropy -int p log p, with 0*log(0) = 0."""
-    if isinstance(p, ExpFamilyDensity):
+    if _is_product(p):
         total = 0.0
-        rule = p._rule
-        for j in range(p.dim):
-            pv = p._factor_node_vals[j]
-            total += -rule.integrate_values(np.where(pv > 0, pv * np.log(np.maximum(pv, 1e-300)), 0.0))
+        for j, rule in enumerate(p.grid.rules):
+            total += -rule.integrate_values(_xlogx(p.marginal_values(j)))
         return total
-    vals = p.values
-    integrand = np.where(vals > 0, vals * np.log(np.maximum(vals, 1e-300)), 0.0)
-    return -p.grid.integrate_values(integrand)
+    return -p.grid.integrate_values(_xlogx(p.values))
 
 
-def _tabulated_inverse_cdf(pdf1d: Callable[[np.ndarray], np.ndarray]):
-    xs = np.linspace(0.0, 1.0, CDF_TABLE_SIZE)
-    dens = np.asarray(pdf1d(xs), dtype=float)
-    dens = np.maximum(dens, 0.0)
+def trapezoid_cdf(
+    pdf1d: Callable[[np.ndarray], np.ndarray], n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """CDF of a 1-D density by trapezoid accumulation on n uniform points.
+
+    Returns the points and the CDF values, normalized to end at 1.
+    """
+    xs = np.linspace(0.0, 1.0, n)
+    dens = np.maximum(np.asarray(pdf1d(xs), dtype=float), 0.0)
     cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(xs))])
     if cdf[-1] <= 0:
-        raise DensityError("degenerate CDF in sampling table")
-    cdf /= cdf[-1]
-    return lambda u: np.interp(u, cdf, xs)
+        raise DensityError("degenerate CDF: the density integrates to zero")
+    return xs, cdf / cdf[-1]
 
 
 def draw_sample(p: Density, k: int, seed: int) -> Sample:
     """Inverse-CDF sampling, per dimension, deterministic given the seed.
 
     Only product-form densities are supported: exponential-family members
-    (always products), 1-D grid densities, and explicit products built via
-    product_density.
+    (always products), 1-D densities and ProductDensity.
     """
     if k < 1:
         raise DensityError("sample size must be >= 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random((k, p.dim))
-    cols = []
-    if isinstance(p, ExpFamilyDensity):
-        for j in range(p.dim):
-            inv = _tabulated_inverse_cdf(lambda x, j=j: p.factor_pdf(j, x))
-            cols.append(inv(u[:, j]))
-    elif p.dim == 1:
-        inv = _tabulated_inverse_cdf(marginal_pdf(p, 0))
-        cols.append(inv(u[:, 0]))
-    elif getattr(p, "_product_factors", None) is not None:
-        for j, f in enumerate(p._product_factors):
-            inv = _tabulated_inverse_cdf(marginal_pdf(f, 0))
-            cols.append(inv(u[:, j]))
-    else:
+    if not _is_product(p):
         raise DensityError(
             "sampling requires a product-form density (expfam, 1-D, or "
             "product_density)"
         )
+    u = np.random.default_rng(seed).random((k, p.dim))
+    cols = []
+    for j in range(p.dim):
+        xs, cdf = trapezoid_cdf(lambda x: p.factor_pdf(j, x), CDF_TABLE_SIZE)
+        cols.append(np.interp(u[:, j], cdf, xs))
     return Sample(points=np.column_stack(cols), seed=seed)
 
 
@@ -515,26 +526,24 @@ def _log_marginal(p: Density, j: int) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def sup_log_density(p: Density, refine: int = 10) -> float:
-    """sup |log p| probed on a refined uniform grid plus quadrature nodes."""
-    if isinstance(p, ExpFamilyDensity):
+    """sup |log p| probed on a refined uniform grid plus quadrature nodes.
+
+    For a product, log p is a sum over coordinates, so its extremes are the
+    sums of the per-coordinate extremes.  A density that vanishes somewhere
+    gives inf.
+    """
+    if _is_product(p):
         total_max = 0.0
         total_min = 0.0
-        for j in range(p.dim):
+        for j, rule in enumerate(p.grid.rules):
             xs = np.unique(
-                np.concatenate([np.linspace(0, 1, refine * 128 + 1), p._rule.nodes])
+                np.concatenate([np.linspace(0, 1, refine * rule.order + 1), rule.nodes])
             )
-            lv = np.log(np.maximum(p.factor_pdf(j, xs), 1e-300))
+            with np.errstate(divide="ignore"):
+                lv = np.log(p.factor_pdf(j, xs))
             total_max += float(np.max(lv))
             total_min += float(np.min(lv))
         return max(abs(total_max), abs(total_min))
-    if p.dim == 1:
-        xs = np.unique(
-            np.concatenate(
-                [np.linspace(0, 1, refine * p.grid.rules[0].order + 1), p.grid.rules[0].nodes]
-            )
-        )
-        lv = p.log_pdf(xs.reshape(-1, 1))
-        return float(np.max(np.abs(lv)))
     # moderate-dimensional grid densities: probe on a product grid
     axes = [
         np.unique(np.concatenate([np.linspace(0, 1, 101), r.nodes]))
@@ -544,6 +553,22 @@ def sup_log_density(p: Density, refine: int = 10) -> float:
     pts = np.stack([g.ravel() for g in mesh], axis=-1)
     lv = p.log_pdf(pts)
     return float(np.max(np.abs(lv)))
+
+
+def class_margins(
+    m: int, epsilon_bound: float, epsilon: float, c_inf: float, c_r
+) -> tuple[float, float, float]:
+    """Margins of the three smooth high-entropy class conditions at order m.
+
+    Each margin is threshold minus estimate, so a non-negative margin means
+    the condition holds: a1 epsilon <= epsilon_bound, a2 c_inf <= (3m-6)/2,
+    a3 max_j c_r[j] <= 5^(m-4).
+    """
+    return (
+        epsilon_bound - epsilon,
+        (3 * m - 6) / 2.0 - c_inf,
+        5.0 ** (m - 4) - float(np.max(c_r)),
+    )
 
 
 def smoothness_report(
@@ -562,12 +587,8 @@ def smoothness_report(
         basis = make_tensor_basis(m, p.dim)
     # fit/entropy quadrature must be at least as fine as the density's own
     # grid, or sharply peaked densities show spurious negative gaps
-    if isinstance(p, ExpFamilyDensity):
-        native = p._rule.order
-    else:
-        native = p.grid.rules[0].order
     try:
-        eps = maxent.epsilon_gap(p, basis, order=max(native, 128))
+        eps = maxent.epsilon_gap(p, basis, order=max(native_order(p), 128))
     except DensityError:
         # projection infeasible/divergent: the entropy gap is unverifiable,
         # which counts as failing the gap condition
@@ -589,15 +610,14 @@ def smoothness_report(
             converged = False
     c_r.setflags(write=False)
 
-    a2_threshold = (3 * m - 6) / 2.0
-    a3_threshold = 5.0 ** (m - 4)
+    a1, a2, a3 = class_margins(m, 1e-7, eps, c_inf, c_r)
     return SmoothnessReport(
         m=m,
         epsilon=eps,
         c_inf=c_inf,
         c_r=c_r,
-        a1_ok=eps <= 1e-7,
-        a2_ok=c_inf <= a2_threshold,
-        a3_ok=bool(np.all(c_r <= a3_threshold)),
+        a1_ok=a1 >= 0,
+        a2_ok=a2 >= 0,
+        a3_ok=a3 >= 0,
         derivative_converged=converged,
     )

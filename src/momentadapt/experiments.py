@@ -20,17 +20,20 @@ import numpy as np
 
 from .basis import make_tensor_basis
 from .bounds import (
+    constant_C_simple,
     improved_constants,
     section7_values,
     smoothness_membership,
+    theorem1_l1_bound,
+    theorem1_threshold,
     theorem2_certificate,
 )
 from .densities import (
     Density,
     ExpFamilyDensity,
-    GridDensity,
     GridResolutionError,
     MomentVector,
+    ProductDensity,
     Sample,
     draw_sample,
     entropy,
@@ -251,8 +254,8 @@ def theorem1_empirical_verification(
     if trials < 1:
         raise ValueError("need at least one trial")
     basis = make_tensor_basis(m, dim)
-    c_val = 2.0 * math.exp((3 * m - 1) / 2.0)
-    gate = 1.0 / (2.0 * c_val * (m + 1))
+    c_val = constant_C_simple(m)
+    gate = theorem1_threshold(c_val, m)
     rng = np.random.default_rng(seed)
     rows = []
     attempts = 0
@@ -273,21 +276,20 @@ def theorem1_empirical_verification(
         if not smoothness_membership(report_q, m, epsilon=0.0).member:
             rejected_membership += 1
             continue
-        dmu = moment_l1(moments(p, basis), moments(q, basis))
-        if dmu > gate:
+        result = theorem1_l1_bound(moments(p, basis), moments(q, basis), m, 0.0)
+        if not result.applicable:
             rejected_gate += 1
             continue
         accepted += 1
         realized = l1_distance(p, q)
-        bound = math.sqrt(2.0 * c_val) * dmu
         rows.append(
             {
                 "trial": accepted,
-                "moment_l1": dmu,
+                "moment_l1": result.moment_distance,
                 "l1": realized,
-                "bound": bound,
-                "slack": bound - realized,
-                "violation": realized > bound,
+                "bound": result.value,
+                "slack": result.value - realized,
+                "violation": realized > result.value,
             }
         )
     slacks = np.array([r["slack"] for r in rows]) if rows else np.array([np.inf])
@@ -530,7 +532,7 @@ class DemoScenario:
     vc_dimension: int = 3
 
 
-def _demo_densities(s: DemoScenario) -> tuple[GridDensity, GridDensity]:
+def _demo_densities(s: DemoScenario) -> tuple[ProductDensity, ProductDensity]:
     p = product_density(
         [
             make_truncated_normal(s.source_mean, s.sigma),

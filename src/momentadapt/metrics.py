@@ -19,25 +19,21 @@ from .densities import (
     Density,
     DensityError,
     ExpFamilyDensity,
-    GridDensity,
     MomentVector,
     Sample,
     marginal_pdf,
+    moments,
+    native_order,
+    trapezoid_cdf,
 )
 from .quadrature import MAX_ORDER, default_order, tensor_grid
-
-
-def _native_order(p: Density) -> int:
-    if isinstance(p, ExpFamilyDensity):
-        return p._rule.order
-    return p.grid.rules[0].order
 
 
 def _common_grid(p: Density, q: Density, order: Optional[int] = None):
     if p.dim != q.dim:
         raise DensityError(f"dimension mismatch: {p.dim} vs {q.dim}")
     if order is None:
-        order = max(_native_order(p), _native_order(q), default_order(p.dim))
+        order = max(native_order(p), native_order(q), default_order(p.dim))
     return tensor_grid(p.dim, min(order, MAX_ORDER))
 
 
@@ -79,7 +75,7 @@ def kl_expfam_closed_form(p: ExpFamilyDensity, q: ExpFamilyDensity) -> float:
     """
     if p.basis.m != q.basis.m or p.dim != q.dim:
         raise DensityError("densities built on different bases")
-    mu_p = np.concatenate([p.factor_moments(j) for j in range(p.dim)])
+    mu_p = moments(p, p.basis).values
     log_c_p = float(np.sum(p.log_norm))
     log_c_q = float(np.sum(q.log_norm))
     return (log_c_p - log_c_q) + float(np.dot(mu_p, q.lam - p.lam))
@@ -145,10 +141,7 @@ def tabulate_cdf(p: Density, n: int = 10_001) -> TabulatedCDF:
     """CDF of a 1-D density by trapezoid accumulation on a uniform grid."""
     if p.dim != 1:
         raise DensityError("CDF tabulation requires a 1-D density")
-    xs = np.linspace(0.0, 1.0, n)
-    dens = marginal_pdf(p, 0)(xs)
-    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(xs))])
-    cdf /= cdf[-1]
+    xs, cdf = trapezoid_cdf(marginal_pdf(p, 0), n)
     return TabulatedCDF(xs=xs, values=cdf)
 
 
@@ -229,7 +222,7 @@ def risk(
     order is doubled relative to the density default.
     """
     if order is None:
-        order = min(2 * max(_native_order(p), default_order(p.dim)), MAX_ORDER)
+        order = min(2 * max(native_order(p), default_order(p.dim)), MAX_ORDER)
     grid = tensor_grid(p.dim, order)
     pts = grid.nodes()
     return grid.integrate_values(np.abs(f(pts) - l(pts)) * p.pdf(pts))

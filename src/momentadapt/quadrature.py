@@ -7,7 +7,6 @@ inputs: identical calls give bit-identical results.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -74,9 +73,8 @@ def default_order(dim: int) -> int:
 class QuadGridND:
     """Tensor product of per-dimension 1-D rules on [0,1]^N.
 
-    Node tuples are enumerated lazily (itertools.product order, i.e. the
-    last dimension fastest), which keeps the reduction order fixed and the
-    results deterministic.
+    Nodes are enumerated with the last dimension fastest, which keeps the
+    reduction order fixed and the results deterministic.
     """
 
     rules: tuple[QuadRule1D, ...]
@@ -103,10 +101,6 @@ class QuadGridND:
             w = np.outer(w, r.weights).ravel()
         return w
 
-    def iter_nodes(self):
-        for point in itertools.product(*(r.nodes for r in self.rules)):
-            yield np.array(point)
-
     def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
         """Integrate f over [0,1]^N; f receives a (n_nodes, dim) batch."""
         pts = self.nodes()
@@ -127,21 +121,3 @@ class QuadGridND:
 def tensor_grid(dim: int, order: int | None = None) -> QuadGridND:
     n = order if order is not None else default_order(dim)
     return QuadGridND(rules=tuple(gauss_rule(n) for _ in range(dim)))
-
-
-def self_convergent_integral(
-    f: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    order: int | None = None,
-    tol: float = 1e-10,
-) -> tuple[float, bool]:
-    """Integral plus a doubling self-check flag.
-
-    Returns the value on the doubled grid and whether the change under
-    doubling stayed below tol.  Used as the default accuracy guard for
-    smooth integrands.
-    """
-    n = order if order is not None else default_order(dim)
-    coarse = tensor_grid(dim, n).integrate(f)
-    fine = tensor_grid(dim, min(2 * n, MAX_ORDER)).integrate(f)
-    return fine, abs(fine - coarse) <= tol

@@ -1,10 +1,15 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import momentadapt
 from momentadapt.cli import main
 
 
@@ -222,3 +227,22 @@ class TestParserBehavior:
         with pytest.raises(SystemExit) as exc:
             main(["fit"])  # missing required arguments
         assert exc.value.code == 1
+
+    def test_threads_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "2", "basis", "--m", "2"])
+        assert exc.value.code == 1
+
+    def test_error_reported_once(self):
+        """An input error reaches stderr exactly once, in a fresh process
+        where logging writes to the real stderr."""
+        env = dict(os.environ, PYTHONPATH=str(Path(momentadapt.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "momentadapt.cli", "certify", "--k", "1000"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.count("missing required flags") == 1

@@ -12,6 +12,7 @@ from momentadapt.densities import (
     ExpFamilyDensity,
     GridResolutionError,
     MomentVector,
+    ProductDensity,
     Sample,
     draw_sample,
     entropy,
@@ -24,6 +25,7 @@ from momentadapt.densities import (
     sup_log_density,
     uniform_density,
 )
+from momentadapt.quadrature import QuadGridND
 
 
 def _scipy_truncnorm(mean, sigma):
@@ -297,6 +299,57 @@ class TestSmoothness:
         expected = abs(lam3) * math.sqrt(7) * 120.0
         assert report.derivative_converged
         assert float(report.c_r[0]) == pytest.approx(expected, rel=1e-6)
+
+
+class TestProductDensity:
+    @staticmethod
+    def _factors():
+        basis = make_tensor_basis(2, 1)
+        return [
+            make_truncated_normal(0.4, 0.2),
+            ExpFamilyDensity(basis=basis, lam=np.array([0.5, -0.3]), order=64),
+        ]
+
+    def test_functionals_build_no_joint_grid(self, monkeypatch):
+        """A product is handled factor by factor: no tensor-grid nodes are
+        built, neither at construction nor by its functionals."""
+        factors = self._factors()
+        built = []
+        nodes = QuadGridND.nodes
+        monkeypatch.setattr(
+            QuadGridND, "nodes", lambda grid: built.append(grid.n_nodes) or nodes(grid)
+        )
+        p = product_density(factors)
+        assert isinstance(p, ProductDensity)
+        assert [r.order for r in p.grid.rules] == [128, 64]
+        moments(p, make_tensor_basis(3, 2))
+        entropy(p)
+        marginal_pdf(p, 1)(np.linspace(0.0, 1.0, 5))
+        draw_sample(p, 10, 0)
+        sup_log_density(p)
+        assert built == []
+
+    def test_pdf_is_product_of_factors(self):
+        factors = self._factors()
+        pts = np.random.default_rng(4).random((6, 2))
+        expected = factors[0].pdf(pts[:, :1]) * factors[1].pdf(pts[:, 1:])
+        np.testing.assert_allclose(product_density(factors).pdf(pts), expected, rtol=1e-13)
+
+    def test_entropy_is_sum_of_factor_entropies(self):
+        factors = self._factors()
+        assert entropy(product_density(factors)) == pytest.approx(
+            sum(entropy(f) for f in factors), abs=1e-12
+        )
+
+    def test_vanishing_density_sup_log_is_inf(self):
+        """A density that underflows to 0 on [0,1] has unbounded log."""
+        p = make_truncated_normal(0.1, 0.01, order=512)
+        assert sup_log_density(p) == math.inf
+        assert sup_log_density(product_density([make_truncated_normal(0.5, 0.2), p])) == math.inf
+
+    def test_factors_must_be_one_dimensional(self):
+        with pytest.raises(DensityError):
+            product_density([uniform_density(2, order=8)])
 
 
 class TestSampleContainer:

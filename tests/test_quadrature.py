@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from momentadapt.quadrature import (
-    MAX_ORDER,
     QuadratureError,
     default_order,
     gauss_rule,
-    self_convergent_integral,
     tensor_grid,
 )
 
@@ -65,36 +63,8 @@ class TestTensorGrid:
         val = grid.integrate(lambda p: np.exp(p[:, 0] + p[:, 1]))
         assert val == pytest.approx((math.e - 1.0) ** 2, rel=1e-13)
 
-    def test_node_enumeration_consistent(self):
-        grid = tensor_grid(2, 3)
-        nodes = grid.nodes()
-        listed = np.array(list(grid.iter_nodes()))
-        np.testing.assert_allclose(nodes, listed)
-
     def test_shape_validation(self):
         grid = tensor_grid(2, 4)
         with pytest.raises(QuadratureError):
             grid.integrate(lambda p: np.ones((p.shape[0], 2)))
 
-
-class TestSelfConvergence:
-    def test_smooth_integrand_converges(self):
-        val, ok = self_convergent_integral(lambda p: np.cos(p[:, 0]), 1, 32)
-        assert ok
-        assert val == pytest.approx(math.sin(1.0), rel=1e-13)
-
-    def test_unresolvable_peak_flagged(self):
-        """A narrow spike that order 32 misses but order 64 resolves
-        differently trips the doubling check."""
-
-        def peak(p):
-            return np.exp(-((p[:, 0] - 0.5) ** 2) / (2 * 2e-5))
-
-        _, ok = self_convergent_integral(peak, 1, 32)
-        assert not ok
-
-    def test_order_cap(self):
-        val, ok = self_convergent_integral(
-            lambda p: np.ones(p.shape[0]), 1, MAX_ORDER
-        )
-        assert ok and val == pytest.approx(1.0, abs=1e-14)
