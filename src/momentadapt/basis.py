@@ -9,12 +9,15 @@ feature (j, i) sits at index j*m + (i-1).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .quadrature import QuadRule1D
 
 MAX_DEGREE = 30
 
@@ -122,6 +125,18 @@ def build_legendre_basis(m: int) -> PolyBasis1D:
         for k, c in enumerate(_shifted_legendre_int_coeffs(n)):
             coeffs[n, k] = scale * c
     return PolyBasis1D(degree=m, coeffs=coeffs)
+
+
+@functools.lru_cache(maxsize=64)  # bounds what hand-built rules keep alive
+def feature_table(rule: QuadRule1D, m: int) -> np.ndarray:
+    """eta_1..eta_m at the nodes of a quadrature rule, shape (n, m).
+
+    Built once per (rule, m) and shared read-only by every fit, density
+    and moment computation on that rule.
+    """
+    feats = build_legendre_basis(m).eval_all(rule.nodes)[:, 1:]
+    feats.setflags(write=False)
+    return feats
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ GridDensity is integrated on the joint tensor grid.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .basis import TensorBasis, make_tensor_basis
+from .basis import TensorBasis, feature_table, make_tensor_basis
 from .quadrature import QuadGridND, gauss_rule, tensor_grid
 
 NORMALIZATION_TOL = 1e-9
@@ -212,7 +213,7 @@ class ExpFamilyDensity:
         self.lam.setflags(write=False)
         rule = gauss_rule(order)
         self.grid = QuadGridND(rules=(rule,) * basis.dim)
-        feats = basis.per_dim.eval_all(rule.nodes)[:, 1:]  # (n, m)
+        feats = feature_table(rule, basis.m)  # (n, m)
         m = basis.m
         self._log_z = np.empty(basis.dim)
         # factor densities at the rule nodes, kept so that moments, entropy
@@ -388,7 +389,7 @@ def moments(p: Density, basis: TensorBasis) -> MomentVector:
     m = basis.m
     out = np.empty(basis.n_features)
     for j, rule in enumerate(p.grid.rules):
-        feats = basis.per_dim.eval_all(rule.nodes)[:, 1:]
+        feats = feature_table(rule, m)
         out[j * m : (j + 1) * m] = feats.T @ (rule.weights * p.marginal_values(j))
     return MomentVector(basis=basis, values=out)
 
@@ -480,14 +481,17 @@ class SmoothnessReport:
         return self.a1_ok and self.a2_ok and self.a3_ok
 
 
-def _fd_weights(offsets: np.ndarray, deriv: int) -> np.ndarray:
-    """Finite-difference weights for the deriv-th derivative on the given
-    integer offsets (unit step)."""
-    n = len(offsets)
-    a = np.vander(offsets, n, increasing=True).T.astype(float)
-    b = np.zeros(n)
+@functools.lru_cache(maxsize=None)  # windows start in [1 - width, 0]
+def _fd_weights(lo: int, width: int, deriv: int) -> np.ndarray:
+    """Finite-difference weights for the deriv-th derivative on the integer
+    offsets lo..lo+width-1 (unit step); built once per window, read-only."""
+    offsets = np.arange(lo, lo + width)
+    a = np.vander(offsets, width, increasing=True).T.astype(float)
+    b = np.zeros(width)
     b[deriv] = math.factorial(deriv)
-    return np.linalg.solve(a, b)
+    w = np.linalg.solve(a, b)
+    w.setflags(write=False)
+    return w
 
 
 def _fd_derivative_values(
@@ -496,22 +500,19 @@ def _fd_derivative_values(
     """order-th derivative of logf at xs by order-8 finite differences.
 
     The stencil window shifts near the boundary so all evaluation points
-    stay inside [0,1].
+    stay inside [0,1].  logf is called once on all stencil points.
     """
     half = (order + 8) // 2
     width = 2 * half + 1
+    lo = np.where(xs - half * h < 0, np.ceil(-xs / h), -half)
+    shift = xs + (lo + width - 1) * h > 1
+    lo[shift] = np.floor((1 - xs[shift]) / h) - width + 1
+    starts = lo.astype(int)
+    offs = starts[:, None] + np.arange(width)
+    vals = logf((xs[:, None] + offs * h).ravel()).reshape(offs.shape)
     out = np.empty(xs.shape)
-    for idx, x in enumerate(xs):
-        lo = -half
-        if x + lo * h < 0:
-            lo = int(math.ceil(-x / h))
-        hi = lo + width - 1
-        if x + hi * h > 1:
-            hi = int(math.floor((1 - x) / h))
-            lo = hi - width + 1
-        offs = np.arange(lo, hi + 1)
-        w = _fd_weights(offs, order)
-        out[idx] = np.dot(w, logf(x + offs * h)) / h**order
+    for idx, start in enumerate(starts.tolist()):
+        out[idx] = np.dot(_fd_weights(start, width, order), vals[idx]) / h**order
     return out
 
 

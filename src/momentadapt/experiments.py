@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -29,14 +29,11 @@ from .bounds import (
     theorem2_certificate,
 )
 from .densities import (
-    Density,
     ExpFamilyDensity,
     GridResolutionError,
-    MomentVector,
     ProductDensity,
     Sample,
     draw_sample,
-    entropy,
     make_truncated_normal,
     moments,
     product_density,
@@ -47,14 +44,11 @@ from .maxent import InfeasibleMomentsError, epsilon_gap, fit_maxent
 from .metrics import (
     Classifier,
     Labeling,
-    central_moments,
     cmd,
-    empirical_risk,
     kl_expfam_closed_form,
     l1_distance,
     levy_metric,
     moment_l1,
-    risk,
     tabulate_cdf,
 )
 

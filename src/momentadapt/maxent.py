@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import TensorBasis
+from .basis import TensorBasis, feature_table
 from .densities import (
     Density,
     DensityError,
@@ -68,7 +68,7 @@ def _fit_1d(
 ) -> tuple[np.ndarray, int, float, float]:
     """Damped Newton on the 1-D dual; returns (lam, iters, residual, Gamma)."""
     rule = gauss_rule(order)
-    feats = basis.per_dim.eval_all(rule.nodes)[:, 1:]  # (n, m)
+    feats = feature_table(rule, basis.m)  # (n, m)
 
     def log_z(lam: np.ndarray) -> float:
         expo = -feats @ lam

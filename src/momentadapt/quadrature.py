@@ -7,8 +7,10 @@ inputs: identical calls give bit-identical results.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -25,9 +27,13 @@ class QuadratureError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadRule1D:
-    """Gauss-Legendre nodes/weights mapped to (0,1)."""
+    """Gauss-Legendre nodes/weights mapped to (0,1).
+
+    Rules compare and hash by identity, so a rule can key the caches of
+    tables built on its nodes.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -57,10 +63,16 @@ def gauss_rule(n: int) -> QuadRule1D:
 
     Nodes/weights come from numpy's leggauss (companion matrix plus Newton
     polish, machine precision for n <= 512) and are affinely mapped from
-    [-1,1]; the mapped weights sum to 1 exactly up to rounding.
+    [-1,1]; the mapped weights sum to 1 exactly up to rounding.  Each order
+    is built once and the same read-only rule is returned on every call.
     """
     if not (MIN_ORDER <= n <= MAX_ORDER):
         raise QuadratureError(f"order must be in [{MIN_ORDER}, {MAX_ORDER}], got {n}")
+    return _build_gauss_rule(operator.index(n))
+
+
+@functools.lru_cache(maxsize=None)  # at most MAX_ORDER - 1 rules, ~2 MB
+def _build_gauss_rule(n: int) -> QuadRule1D:
     x, w = np.polynomial.legendre.leggauss(n)
     return QuadRule1D(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
 

@@ -10,8 +10,10 @@ from momentadapt.basis import (
     build_legendre_basis,
     coefficient_abs_sums,
     count_monomials,
+    feature_table,
     make_tensor_basis,
 )
+from momentadapt.quadrature import gauss_rule
 
 # printed monomial forms of eta_1..eta_5 (low-to-high powers, before the
 # sqrt(2n+1) scaling)
@@ -54,8 +56,6 @@ class TestLegendreBasis:
 
     def test_quadrature_orthonormality(self):
         """Numerical inner products reproduce the identity."""
-        from momentadapt.quadrature import gauss_rule
-
         basis = build_legendre_basis(8)
         rule = gauss_rule(32)
         vals = basis.eval_all(rule.nodes)
@@ -83,6 +83,22 @@ class TestLegendreBasis:
         basis = build_legendre_basis(3)
         loaded = json.loads(basis.to_json())
         np.testing.assert_allclose(np.array(loaded), basis.coeffs)
+
+
+class TestFeatureTable:
+    def test_equals_eval_all_bit_for_bit(self):
+        for order, m in ((16, 1), (128, 3), (512, 8)):
+            rule = gauss_rule(order)
+            table = feature_table(rule, m)
+            ref = build_legendre_basis(m).eval_all(rule.nodes)[:, 1:]
+            assert table.shape == (order, m)
+            assert np.array_equal(table, ref)
+
+    def test_shared_and_read_only(self):
+        table = feature_table(gauss_rule(64), 4)
+        assert feature_table(gauss_rule(64), 4) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
 
 
 class TestTensorBasis:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from momentadapt.basis import make_tensor_basis
@@ -14,6 +16,8 @@ from momentadapt.densities import (
     MomentVector,
     ProductDensity,
     Sample,
+    _fd_derivative_values,
+    _log_marginal,
     draw_sample,
     entropy,
     make_truncated_normal,
@@ -164,6 +168,23 @@ class TestMoments:
         np.testing.assert_allclose(
             moments(p, basis).values, moments(g, basis).values, atol=1e-12
         )
+
+    def test_hand_built_rule_uses_its_own_nodes(self):
+        """A density on a non-Gauss rule takes moments at that rule's nodes,
+        also after a Gauss rule of the same order filled the table cache."""
+        from momentadapt.densities import GridDensity
+        from momentadapt.quadrature import QuadRule1D
+
+        n = 64
+        basis = make_tensor_basis(3, 1)
+        moments(uniform_density(1, order=n), basis)
+        mid = QuadRule1D(nodes=(np.arange(n) + 0.5) / n, weights=np.full(n, 1.0 / n))
+        p = GridDensity(QuadGridND(rules=(mid,)), values=2.0 * mid.nodes)
+        feats = basis.per_dim.eval_all(mid.nodes)[:, 1:]
+        expected = feats.T @ (mid.weights * p.values)
+        assert np.array_equal(moments(p, basis).values, expected)
+        # p(x) = 2x: E[eta_1] = sqrt(3)/3, higher features vanish
+        np.testing.assert_allclose(expected, [math.sqrt(3) / 3, 0, 0], atol=1e-3)
 
     def test_product_density_moments(self):
         basis = make_tensor_basis(2, 2)
@@ -362,3 +383,56 @@ class TestSampleContainer:
         text = Sample(points=pts).to_csv()
         back = np.loadtxt(text.splitlines(), delimiter=",")
         np.testing.assert_allclose(back, pts)
+
+
+def _fd_reference(logf, order, h, xs):
+    """Per-point finite differences: one window, one weight solve and one
+    logf call per point."""
+    half = (order + 8) // 2
+    width = 2 * half + 1
+    out = np.empty(xs.shape)
+    for idx, x in enumerate(xs):
+        lo = -half
+        if x + lo * h < 0:
+            lo = int(math.ceil(-x / h))
+        hi = lo + width - 1
+        if x + hi * h > 1:
+            hi = int(math.floor((1 - x) / h))
+            lo = hi - width + 1
+        offs = np.arange(lo, hi + 1)
+        rhs = np.zeros(width)
+        rhs[order] = math.factorial(order)
+        w = np.linalg.solve(np.vander(offs, width, increasing=True).T.astype(float), rhs)
+        out[idx] = np.dot(w, logf(x + offs * h)) / h**order
+    return out
+
+
+_FD_DENSITIES = {
+    "expfam": lambda: ExpFamilyDensity(
+        basis=make_tensor_basis(3, 1), lam=np.array([0.3, -0.2, 0.05])
+    ),
+    "truncnorm": lambda: make_truncated_normal(0.4, 0.2),
+}
+
+
+class TestFiniteDifferences:
+    @pytest.mark.parametrize("family", sorted(_FD_DENSITIES))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        inner=st.lists(st.floats(0.0, 1.0), min_size=0, max_size=40),
+        h=st.sampled_from([2e-2, 1e-2]),
+        order=st.integers(1, 6),
+    )
+    def test_batched_matches_per_point(self, family, inner, h, order):
+        logf = _log_marginal(_FD_DENSITIES[family](), 0)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return logf(x)
+
+        xs = np.array([0.0, *inner, 1.0])
+        got = _fd_derivative_values(counted, order, h, xs)
+        assert len(calls) == 1
+        ref = _fd_reference(logf, order, h, xs)
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0)

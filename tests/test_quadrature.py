@@ -35,10 +35,19 @@ class TestGaussRule:
         assert rule.integrate(np.exp) == pytest.approx(math.e - 1.0, rel=1e-14)
 
     def test_order_bounds(self):
-        with pytest.raises(QuadratureError):
-            gauss_rule(1)
-        with pytest.raises(QuadratureError):
-            gauss_rule(513)
+        gauss_rule(2)
+        gauss_rule(512)  # the cache is warm at both ends
+        for n in (1, 513, 0, -3):
+            with pytest.raises(QuadratureError):
+                gauss_rule(n)
+
+    def test_rule_built_once_and_read_only(self):
+        rule = gauss_rule(64)
+        assert gauss_rule(64) is rule
+        assert gauss_rule(np.int64(64)) is rule
+        for arr in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
 
     def test_non_finite_integrand_rejected(self):
         rule = gauss_rule(8)
