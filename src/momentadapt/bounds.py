@@ -15,8 +15,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .basis import PolyBasis1D, build_legendre_basis, coefficient_abs_sums
-from .densities import MomentVector, SmoothnessReport, class_margins
+from .basis import build_legendre_basis, coefficient_abs_sums, make_tensor_basis
+from .densities import MomentVector, SmoothnessReport
 from .metrics import moment_l1
 
 
@@ -124,17 +124,6 @@ class L1Bound:
     constant_source: str
     epsilon: float
     value: Optional[float]
-
-    def to_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "threshold": self.threshold,
-            "moment_distance": self.moment_distance,
-            "constant": self.constant,
-            "constant_source": self.constant_source,
-            "epsilon": self.epsilon,
-            "value": self.value,
-        }
 
 
 def theorem1_threshold(c_val: float, m: int) -> float:
@@ -339,29 +328,20 @@ class MembershipVerdict:
     a3_margin: float
     indeterminate: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "member": self.member,
-            "a1": {"ok": self.a1_ok, "margin": self.a1_margin},
-            "a2": {"ok": self.a2_ok, "margin": self.a2_margin},
-            "a3": {"ok": self.a3_ok, "margin": self.a3_margin},
-            "indeterminate": self.indeterminate,
-        }
 
+def smoothness_membership(report: SmoothnessReport, epsilon: float) -> MembershipVerdict:
+    """Verdict on the smooth high-entropy class at the report's order m.
 
-def smoothness_membership(
-    report: SmoothnessReport, m: int, epsilon: float
-) -> MembershipVerdict:
-    """Check the three class conditions with numerical margins.
-
-    Margins are threshold minus estimate (positive = satisfied).  An
-    unconverged derivative estimate yields an indeterminate verdict.
+    The three conditions are a1 entropy gap <= epsilon, a2 c_inf <=
+    (3m-6)/2 and a3 max_j c_r[j] <= 5^(m-4).  Each margin is threshold
+    minus estimate, so a non-negative margin means the condition holds;
+    a1 allows 1e-12 of quadrature noise.  An unconverged derivative
+    estimate yields an indeterminate verdict (member None).
     """
-    if report.m != m:
-        raise ValueError(f"report computed for order {report.m}, not {m}")
-    a1_margin, a2_margin, a3_margin = class_margins(
-        m, epsilon, report.epsilon, report.c_inf, report.c_r
-    )
+    m = report.m
+    a1_margin = epsilon - report.epsilon
+    a2_margin = (3 * m - 6) / 2.0 - report.c_inf
+    a3_margin = 5.0 ** (m - 4) - float(np.max(report.c_r))
     a1_ok = a1_margin >= -1e-12
     a2_ok = a2_margin >= 0
     a3_ok = a3_margin >= 0
@@ -379,43 +359,23 @@ def smoothness_membership(
     )
 
 
-def section7_certificate(
-    k: float = 6.3e9,
-    moment_distance: float = 0.0,
-    epsilon: float = 0.0,
-    empirical_source_risk: float = 0.0,
-    lambda_star: float = 0.0,
-) -> BoundCertificate:
-    """Certificate at the fifth-order application preset (m=r=5, c_inf=5,
-    c_r=10, delta=0.2, N=5, d=6), with zero defaults for the empirical
-    inputs."""
-    from .basis import make_tensor_basis
-
-    p = SECTION7
-    consts = improved_constants(p["m"], p["r"], p["c_inf"], p["c_r"])
-    basis = make_tensor_basis(p["m"], p["N"])
-    zero = MomentVector(basis=basis, values=np.zeros(basis.n_features))
-    shifted = MomentVector(
-        basis=basis,
-        values=np.concatenate(
-            [[moment_distance], np.zeros(basis.n_features - 1)]
-        ),
-    )
-    return theorem2_certificate(
-        k=k,
-        d=p["d"],
-        delta=p["delta"],
-        m=p["m"],
-        dim=p["N"],
-        mu_hat_p=zero,
-        mu_hat_q=shifted,
-        epsilon=epsilon,
-        constants=consts,
-        empirical_source_risk=empirical_source_risk,
-        lambda_star=lambda_star,
+def moment_pair_at_distance(
+    m: int, dim: int, distance: float
+) -> tuple[MomentVector, MomentVector]:
+    """Zero moment vector and a copy shifted by `distance` in its first
+    entry: the empirical moments of a certificate known only through
+    their l1 distance."""
+    basis = make_tensor_basis(m, dim)
+    shifted = np.zeros(basis.n_features)
+    shifted[0] = distance
+    return (
+        MomentVector(basis=basis, values=np.zeros(basis.n_features)),
+        MomentVector(basis=basis, values=shifted),
     )
 
 
+# The fifth-order application: order, smoothness order, class constants,
+# failure probability, dimension, VC dimension and the quoted sample size.
 SECTION7 = {
     "m": 5,
     "r": 5,
@@ -428,39 +388,62 @@ SECTION7 = {
 }
 
 
-def section7_values(basis: Optional[PolyBasis1D] = None) -> dict:
+def section7_certificate(
+    k: float = SECTION7["k"],
+    moment_distance: float = 0.0,
+    epsilon: float = 0.0,
+    empirical_source_risk: float = 0.0,
+    lambda_star: float = 0.0,
+) -> BoundCertificate:
+    """Certificate at the SECTION7 preset, with zero defaults for the
+    empirical inputs."""
+    p = SECTION7
+    mu_hat_p, mu_hat_q = moment_pair_at_distance(p["m"], p["N"], moment_distance)
+    return theorem2_certificate(
+        k=k,
+        d=p["d"],
+        delta=p["delta"],
+        m=p["m"],
+        dim=p["N"],
+        mu_hat_p=mu_hat_p,
+        mu_hat_q=mu_hat_q,
+        epsilon=epsilon,
+        constants=improved_constants(p["m"], p["r"], p["c_inf"], p["c_r"]),
+        empirical_source_risk=empirical_source_risk,
+        lambda_star=lambda_star,
+    )
+
+
+def section7_values() -> dict:
     """All worked constants of the fifth-order application scenario.
 
     Returns the improved constant, the two coefficient values, the moment
     threshold, the minimal sample size, the VC and sampling terms at the
-    quoted sample size, and both readings of the CMD conversion factor
-    (the one implied by the quoted end-to-end coefficient and the one
-    following from the printed polynomial coefficients; they disagree, so
-    both are reported and neither asserted).
+    quoted sample size (the last four read from `section7_certificate`),
+    and both readings of the CMD conversion factor (the one implied by the
+    quoted end-to-end coefficient and the one following from the printed
+    polynomial coefficients; they disagree, so both are reported and
+    neither asserted).
     """
     p = SECTION7
-    consts = improved_constants(p["m"], p["r"], p["c_inf"], p["c_r"])
-    c_val = consts.C
-    if basis is None:
-        basis = build_legendre_basis(5)
-    _, c5_from_coeffs = coefficient_abs_sums(basis)
+    cert = section7_certificate()
+    required = {c.name: c.required for c in cert.conditions}
+    c_val = cert.constants["C"]
+    _, c5_from_coeffs = coefficient_abs_sums(build_legendre_basis(p["m"]))
     sqrt_2ec = math.sqrt(2.0 * math.e * c_val)
     sqrt_8cmd = math.sqrt(8.0 * c_val * p["m"] / p["delta"])
-    min_k = minimal_sample_size(consts, p["m"], p["delta"])
-    vc = vc_generalization_term(p["k"], p["d"], p["delta"])
-    sampling = math.sqrt(8.0 * c_val) * math.sqrt(p["N"] * p["m"] / (p["k"] * p["delta"]))
     quoted_total_coefficient = 2.96e8
     c5_implied = quoted_total_coefficient / (
         sqrt_2ec * 25.0 * 6.0 * 10.0 * math.sqrt(p["N"])
     )
     return {
-        "constants": consts.to_dict(),
+        "constants": cert.constants,
         "moment_coefficient": sqrt_2ec,          # quoted as 84.6
         "sampling_coefficient": sqrt_8cmd,       # quoted as 513
-        "moment_threshold": 1.0 / (2.0 * (p["m"] + 1) * math.e * c_val),  # 2.3e-5
-        "minimal_k": min_k,                      # quoted as 6.3e9
-        "vc_term": vc,                           # quoted as 2.95e-4
-        "sampling_term": sampling,               # quoted as 1.44e-2 / 0.0148
+        "moment_threshold": required["moment_distance"],  # quoted as 2.3e-5
+        "minimal_k": required["sample_size"],    # quoted as 6.3e9
+        "vc_term": cert.terms["vc_term"],        # quoted as 2.95e-4
+        "sampling_term": cert.terms["sampling_term"],  # quoted as 1.44e-2 / 0.0148
         "cmd_factor_from_coefficients": cmd_to_moment_bound(p["N"], c5_from_coeffs),
         "c5_from_coefficients": c5_from_coeffs,
         "c5_implied_by_quoted_coefficient": c5_implied,

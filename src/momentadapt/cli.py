@@ -19,8 +19,9 @@ import numpy as np
 
 from .basis import DegreeError, build_legendre_basis, make_tensor_basis
 from .bounds import (
+    SECTION7,
     improved_constants,
-    section7_certificate,
+    moment_pair_at_distance,
     section7_values,
     theorem2_certificate,
 )
@@ -154,20 +155,11 @@ def _cmd_fit(args) -> int:
 def _cmd_certify(args) -> int:
     if args.epsilon is not None and args.epsilon < 0:
         raise CliError("epsilon must be non-negative")
-    if args.preset == "section7":
-        cert = section7_certificate(
-            k=args.k if args.k is not None else 6.3e9,
-            moment_distance=args.moment_distance or 0.0,
-            epsilon=args.epsilon or 0.0,
-            empirical_source_risk=args.source_risk,
-            lambda_star=args.lambda_star,
-        )
-        payload = cert.to_dict()
-        payload["section7_table"] = {
-            k: v for k, v in section7_values().items() if k != "constants"
-        }
-        _emit(json.dumps(payload, sort_keys=True), args.out)
-        return EXIT_OK
+    # unset flags take the preset's values; without a preset, delta is 0.2
+    defaults = SECTION7 if args.preset == "section7" else {"delta": 0.2}
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     required = {"k": args.k, "d": args.d, "m": args.m, "N": args.N}
     missing = [name for name, val in required.items() if val is None]
     if missing:
@@ -178,13 +170,8 @@ def _cmd_certify(args) -> int:
         )
     else:
         constants = "simple"
-    basis = make_tensor_basis(args.m, args.N)
-    zero = MomentVector(basis=basis, values=np.zeros(basis.n_features))
-    shifted = MomentVector(
-        basis=basis,
-        values=np.concatenate(
-            [[args.moment_distance or 0.0], np.zeros(basis.n_features - 1)]
-        ),
+    mu_hat_p, mu_hat_q = moment_pair_at_distance(
+        args.m, args.N, args.moment_distance or 0.0
     )
     cert = theorem2_certificate(
         k=args.k,
@@ -192,15 +179,20 @@ def _cmd_certify(args) -> int:
         delta=args.delta,
         m=args.m,
         dim=args.N,
-        mu_hat_p=zero,
-        mu_hat_q=shifted,
+        mu_hat_p=mu_hat_p,
+        mu_hat_q=mu_hat_q,
         epsilon=args.epsilon or 0.0,
         constants=constants,
         empirical_source_risk=args.source_risk,
         lambda_star=args.lambda_star,
         sharper_sample_condition=args.sharper_sample_condition,
     )
-    _emit(cert.to_json(), args.out)
+    payload = cert.to_dict()
+    if args.preset == "section7":
+        payload["section7_table"] = {
+            k: v for k, v in section7_values().items() if k != "constants"
+        }
+    _emit(json.dumps(payload, sort_keys=True), args.out)
     return EXIT_OK
 
 
@@ -277,7 +269,7 @@ def build_parser() -> _Parser:
     p_cert.add_argument("--preset", choices=["section7"], help="built-in scenario")
     p_cert.add_argument("--k", type=float, help="sample size per domain")
     p_cert.add_argument("--d", type=float, help="VC dimension")
-    p_cert.add_argument("--delta", type=float, default=0.2, help="failure probability")
+    p_cert.add_argument("--delta", type=float, help="failure probability")
     p_cert.add_argument("--m", type=int, help="moment order")
     p_cert.add_argument("--N", type=int, help="dimension")
     p_cert.add_argument("--r", type=int, help="smoothness order (default m)")

@@ -37,6 +37,10 @@ NORMALIZATION_TOL = 1e-9
 # grid so interpolation error stays below sampling noise.
 CDF_TABLE_SIZE = 8193
 
+# sup_log_density probes each coordinate on a uniform grid this many times
+# finer than its quadrature rule, plus the rule's nodes.
+SUP_LOG_REFINE = 10
+
 
 class DensityError(ValueError):
     pass
@@ -121,7 +125,6 @@ class GridDensity:
         grid: QuadGridND,
         raw: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         values: Optional[np.ndarray] = None,
-        check_tol: float = NORMALIZATION_TOL,
     ):
         self.grid = grid
         self._raw = raw
@@ -143,7 +146,7 @@ class GridDensity:
             # up as a normalization error on the refined grid
             fine = tensor_grid(grid.dim, min(2 * grid.rules[0].order, 512))
             total = fine.integrate(lambda p: np.asarray(raw(p)) / z)
-            if abs(total - 1.0) > check_tol:
+            if abs(total - 1.0) > NORMALIZATION_TOL:
                 raise GridResolutionError(
                     f"normalization off by {abs(total - 1.0):.2e} on the doubled "
                     "grid; increase the quadrature order"
@@ -184,14 +187,6 @@ class GridDensity:
                 continue
             vals = np.tensordot(vals, self.grid.rules[axis].weights, axes=([axis], [0]))
         return vals
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "grid",
-            "dim": self.dim,
-            "order": native_order(self),
-            "values": self.values.tolist(),
-        }
 
 
 class ExpFamilyDensity:
@@ -263,14 +258,6 @@ class ExpFamilyDensity:
     def marginal_values(self, j: int) -> np.ndarray:
         """Factor j at the nodes of grid.rules[j]."""
         return self._factor_node_vals[j]
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "expfam",
-            "dim": self.dim,
-            "m": self.basis.m,
-            "lambda": self.lam.tolist(),
-        }
 
 
 class ProductDensity:
@@ -457,28 +444,21 @@ def draw_sample(p: Density, k: int, seed: int) -> Sample:
 
 @dataclass(frozen=True)
 class SmoothnessReport:
-    """Estimated membership data for the smooth high-entropy class.
+    """Estimates of the smooth high-entropy class quantities at order m.
 
     epsilon is the entropy gap to the moment-matched exponential-family
     projection; c_inf estimates sup |log p|; c_r[i] estimates the L2 norm
     of the m-th derivative of the log marginal in dimension i (finite
-    differences, so an estimate, not a certificate).
+    differences, so an estimate, not a certificate).  derivative_converged
+    is False when the step-halving check on c_r fails.  The report holds
+    no verdict: `bounds.smoothness_membership` checks the class conditions.
     """
 
     m: int
     epsilon: float
     c_inf: float
     c_r: np.ndarray
-    a1_ok: bool
-    a2_ok: bool
-    a3_ok: bool
     derivative_converged: bool = True
-
-    @property
-    def member(self) -> Optional[bool]:
-        if not self.derivative_converged:
-            return None
-        return self.a1_ok and self.a2_ok and self.a3_ok
 
 
 @functools.lru_cache(maxsize=None)  # windows start in [1 - width, 0]
@@ -526,7 +506,7 @@ def _log_marginal(p: Density, j: int) -> Callable[[np.ndarray], np.ndarray]:
     return logf
 
 
-def sup_log_density(p: Density, refine: int = 10) -> float:
+def sup_log_density(p: Density) -> float:
     """sup |log p| probed on a refined uniform grid plus quadrature nodes.
 
     For a product, log p is a sum over coordinates, so its extremes are the
@@ -538,7 +518,7 @@ def sup_log_density(p: Density, refine: int = 10) -> float:
         total_min = 0.0
         for j, rule in enumerate(p.grid.rules):
             xs = np.unique(
-                np.concatenate([np.linspace(0, 1, refine * rule.order + 1), rule.nodes])
+                np.concatenate([np.linspace(0, 1, SUP_LOG_REFINE * rule.order + 1), rule.nodes])
             )
             with np.errstate(divide="ignore"):
                 lv = np.log(p.factor_pdf(j, xs))
@@ -556,27 +536,10 @@ def sup_log_density(p: Density, refine: int = 10) -> float:
     return float(np.max(np.abs(lv)))
 
 
-def class_margins(
-    m: int, epsilon_bound: float, epsilon: float, c_inf: float, c_r
-) -> tuple[float, float, float]:
-    """Margins of the three smooth high-entropy class conditions at order m.
-
-    Each margin is threshold minus estimate, so a non-negative margin means
-    the condition holds: a1 epsilon <= epsilon_bound, a2 c_inf <= (3m-6)/2,
-    a3 max_j c_r[j] <= 5^(m-4).
-    """
-    return (
-        epsilon_bound - epsilon,
-        (3 * m - 6) / 2.0 - c_inf,
-        5.0 ** (m - 4) - float(np.max(c_r)),
-    )
-
-
 def smoothness_report(
     p: Density, m: int, basis: Optional[TensorBasis] = None
 ) -> SmoothnessReport:
-    """Estimate the three membership conditions of the smooth high-entropy
-    class at order m.
+    """Estimate the smooth high-entropy class quantities of p at order m.
 
     The derivative norms come from finite differences on the log marginals
     with a step-halving self-check; a failed check leaves the verdict
@@ -611,14 +574,6 @@ def smoothness_report(
             converged = False
     c_r.setflags(write=False)
 
-    a1, a2, a3 = class_margins(m, 1e-7, eps, c_inf, c_r)
     return SmoothnessReport(
-        m=m,
-        epsilon=eps,
-        c_inf=c_inf,
-        c_r=c_r,
-        a1_ok=a1 >= 0,
-        a2_ok=a2 >= 0,
-        a3_ok=a3 >= 0,
-        derivative_converged=converged,
+        m=m, epsilon=eps, c_inf=c_inf, c_r=c_r, derivative_converged=converged
     )

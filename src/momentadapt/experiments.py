@@ -20,6 +20,7 @@ import numpy as np
 
 from .basis import make_tensor_basis
 from .bounds import (
+    SECTION7,
     constant_C_simple,
     improved_constants,
     section7_values,
@@ -224,7 +225,7 @@ def _random_h_member(
     lam = rng.uniform(-box, box)
     p = ExpFamilyDensity(basis=basis, lam=lam)
     report = smoothness_report(p, m, basis=basis)
-    verdict = smoothness_membership(report, m, epsilon=0.0)
+    verdict = smoothness_membership(report, epsilon=0.0)
     if verdict.member:
         return p
     return None
@@ -267,7 +268,7 @@ def theorem1_empirical_verification(
         )
         q = ExpFamilyDensity(basis=basis, lam=p.lam + delta)
         report_q = smoothness_report(q, m, basis=basis)
-        if not smoothness_membership(report_q, m, epsilon=0.0).member:
+        if not smoothness_membership(report_q, epsilon=0.0).member:
             rejected_membership += 1
             continue
         result = theorem1_l1_bound(moments(p, basis), moments(q, basis), m, 0.0)
@@ -449,7 +450,7 @@ def section7_repro() -> ExperimentRecord:
             }
         )
     sampling = vals["sampling_coefficient"] * math.sqrt(
-        5.0 / 6.3e9
+        SECTION7["N"] / SECTION7["k"]
     )  # the quoted display evaluates 513*sqrt(N/k)
     sampling_ok = 0.0140 <= sampling <= 0.0150
     rows.append(
@@ -488,7 +489,7 @@ def section7_repro() -> ExperimentRecord:
     )
     return ExperimentRecord(
         name="section7-repro",
-        parameters={"m": 5, "r": 5, "c_inf": 5.0, "c_r": 10.0, "delta": 0.2, "N": 5, "d": 6},
+        parameters={key: v for key, v in SECTION7.items() if key != "k"},
         seed=0,
         rows=tuple(rows),
         summary={

@@ -27,6 +27,13 @@ from .densities import (
 )
 from .quadrature import MAX_ORDER, default_order, tensor_grid
 
+CDF_GRID_SIZE = 10_001  # uniform points of tabulate_cdf
+
+# levy_metric: width of the final eps bracket, and the uniform x-grid on
+# which the two CDFs are compared
+LEVY_TOL = 1e-6
+LEVY_GRID_SIZE = 10_000
+
 
 def _common_grid(p: Density, q: Density, order: Optional[int] = None):
     if p.dim != q.dim:
@@ -136,23 +143,21 @@ class TabulatedCDF:
         return np.interp(x, self.xs, self.values, left=0.0, right=1.0)
 
 
-def tabulate_cdf(p: Density, n: int = 10_001) -> TabulatedCDF:
+def tabulate_cdf(p: Density) -> TabulatedCDF:
     """CDF of a 1-D density by trapezoid accumulation on a uniform grid."""
     if p.dim != 1:
         raise DensityError("CDF tabulation requires a 1-D density")
-    xs, cdf = trapezoid_cdf(marginal_pdf(p, 0), n)
+    xs, cdf = trapezoid_cdf(marginal_pdf(p, 0), CDF_GRID_SIZE)
     return TabulatedCDF(xs=xs, values=cdf)
 
 
-def levy_metric(
-    cdf_p: TabulatedCDF, cdf_q: TabulatedCDF, tol: float = 1e-6, grid_size: int = 10_000
-) -> float:
+def levy_metric(cdf_p: TabulatedCDF, cdf_q: TabulatedCDF) -> float:
     """Levy metric: smallest eps with P(x-eps)-eps <= Q(x) <= P(x+eps)+eps.
 
     Solved by bisection on eps over a dense x-grid; the distance always
     lies in [0, 1].
     """
-    xs = np.linspace(0.0, 1.0, grid_size)
+    xs = np.linspace(0.0, 1.0, LEVY_GRID_SIZE)
     qv = cdf_q(xs)
 
     def fits(eps: float) -> bool:
@@ -163,7 +168,7 @@ def levy_metric(
     lo, hi = 0.0, 1.0
     if fits(0.0):
         return 0.0
-    while hi - lo > tol:
+    while hi - lo > LEVY_TOL:
         mid = 0.5 * (lo + hi)
         if fits(mid):
             hi = mid
@@ -251,14 +256,7 @@ def worst_case_labeling(
         return np.where(agree, fv, 1.0 - fv)
 
     lstar = Labeling(fn=lstar_fn, description="worst-case labeling for " + f.description)
-    grid = _common_grid(p, q, order)
-    pts = grid.nodes()
-    diff = np.abs(f(pts) - lstar(pts))
-    gap = abs(
-        grid.integrate_values(diff * q.pdf(pts))
-        - grid.integrate_values(diff * p.pdf(pts))
-    )
-    return lstar, gap
+    return lstar, labeling_gap(f, lstar, p, q, order)
 
 
 def labeling_gap(

@@ -286,7 +286,7 @@ class TestSection7:
 class TestSmoothnessMembership:
     def test_uniform_member_with_full_margins(self):
         report = smoothness_report(uniform_density(1), 5)
-        verdict = smoothness_membership(report, 5, epsilon=0.0)
+        verdict = smoothness_membership(report, epsilon=0.0)
         assert verdict.member is True
         assert verdict.a2_margin == pytest.approx(4.5, abs=1e-6)
         assert verdict.a3_margin == pytest.approx(5.0, abs=1e-4)
@@ -294,11 +294,6 @@ class TestSmoothnessMembership:
     def test_narrow_truncnorm_not_member(self):
         p = make_truncated_normal(0.5, 0.01, order=512)
         report = smoothness_report(p, 5)
-        verdict = smoothness_membership(report, 5, epsilon=1.0)
+        verdict = smoothness_membership(report, epsilon=1.0)
         assert verdict.a2_ok is False
         assert verdict.member in (False, None)
-
-    def test_order_mismatch_rejected(self):
-        report = smoothness_report(uniform_density(1), 3)
-        with pytest.raises(ValueError):
-            smoothness_membership(report, 5, epsilon=0.0)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import momentadapt
+from momentadapt.bounds import SECTION7, section7_values
 from momentadapt.cli import main
 
 
@@ -87,6 +88,46 @@ class TestCertify:
             capsys, "certify", "--preset", "section7", "--epsilon", "-0.1"
         )
         assert code == 1
+
+    def test_preset_is_flag_path_with_section7_values(self, capsys):
+        """The preset fills the unset flags from SECTION7 and prints the
+        certificate of the flag path, plus the worked table."""
+        flags = []
+        for name, value in SECTION7.items():
+            flags += [f"--{name.replace('_', '-')}", repr(value)]
+        _, preset_out, _ = run_cli(capsys, "certify", "--preset", "section7")
+        code, flags_out, _ = run_cli(capsys, "certify", *flags)
+        assert code == 0
+        preset = json.loads(preset_out)
+        table = {k: v for k, v in section7_values().items() if k != "constants"}
+        assert preset.pop("section7_table") == table
+        assert preset == json.loads(flags_out)
+
+    def test_preset_honours_delta(self, capsys):
+        """A flag given with the preset takes effect: halving delta doubles
+        the required sample size."""
+
+        def sample_size(out):
+            payload = json.loads(out)
+            return next(c for c in payload["conditions"] if c["name"] == "sample_size")
+
+        _, base, _ = run_cli(capsys, "certify", "--preset", "section7")
+        code, out, _ = run_cli(
+            capsys, "certify", "--preset", "section7", "--delta", "0.1"
+        )
+        assert code == 0
+        assert json.loads(out)["inputs"]["delta"] == 0.1
+        assert sample_size(out)["required"] == pytest.approx(
+            2.0 * sample_size(base)["required"], rel=1e-12
+        )
+
+    def test_preset_rejects_invalid_flag(self, capsys):
+        """--m 3 with the preset's r = 5 violates m >= r: exit 1, not a
+        silently ignored flag."""
+        code, out, err = run_cli(capsys, "certify", "--preset", "section7", "--m", "3")
+        assert code == 1
+        assert out == ""
+        assert "m >= r" in err
 
     def test_explicit_parameters(self, capsys):
         code, out, _ = run_cli(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from momentadapt.basis import make_tensor_basis
+from momentadapt.bounds import smoothness_membership
 from momentadapt.densities import (
     DensityError,
     ExpFamilyDensity,
@@ -290,7 +291,7 @@ class TestSmoothness:
     def test_uniform_is_member(self):
         """The uniform density satisfies all three conditions trivially."""
         report = smoothness_report(uniform_density(1), 3)
-        assert report.member is True
+        assert smoothness_membership(report, epsilon=0.0).member is True
         assert report.epsilon <= 1e-10
         assert report.c_inf <= 1e-10
         assert float(np.max(report.c_r)) <= 1e-6
@@ -306,9 +307,9 @@ class TestSmoothness:
     def test_narrow_truncnorm_fails_a2_at_m5(self):
         """sigma=0.05 peaks at log p ~ 2.08 > 0 but tails far below -4.5."""
         p = make_truncated_normal(0.5, 0.05, order=256)
-        report = smoothness_report(p, 5)
-        assert report.a2_ok is False
-        assert report.member in (False, None)
+        verdict = smoothness_membership(smoothness_report(p, 5), epsilon=1e-7)
+        assert verdict.a2_ok is False
+        assert verdict.member in (False, None)
 
     def test_fd_derivative_exact_for_polynomial_log(self):
         """m-th derivative of a cubic log-density is recovered exactly."""

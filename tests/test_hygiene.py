@@ -1,7 +1,8 @@
-"""Source hygiene: every module-level import in the library is used.
+"""Source hygiene: every module-level import in the library and in its
+tests is used.
 
-A stdlib `ast` scan, so it needs no linter.  `__init__.py` is skipped
-because it imports names only to re-export them.
+A stdlib `ast` scan, so it needs no linter.  The package `__init__.py` is
+skipped because it imports names only to re-export them.
 """
 
 import ast
@@ -9,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "momentadapt"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "momentadapt"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(
+    (ROOT / "tests").glob("*.py")
+)
 
 
 def unused_imports(source: str) -> list[str]:

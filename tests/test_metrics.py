@@ -11,7 +11,6 @@ from momentadapt.densities import (
     DensityError,
     ExpFamilyDensity,
     Sample,
-    draw_sample,
     make_truncated_normal,
     moments,
     uniform_density,
