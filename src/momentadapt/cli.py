@@ -188,7 +188,8 @@ def _cmd_certify(args) -> int:
         sharper_sample_condition=args.sharper_sample_condition,
     )
     payload = cert.to_dict()
-    if args.preset == "section7":
+    # the worked table describes the unmodified preset only
+    if args.preset == "section7" and all(getattr(args, k) == v for k, v in SECTION7.items()):
         payload["section7_table"] = {
             k: v for k, v in section7_values().items() if k != "constants"
         }

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .basis import TensorBasis, feature_table, make_tensor_basis
-from .quadrature import QuadGridND, gauss_rule, tensor_grid
+from .quadrature import QuadGridND, QuadRule1D, gauss_rule, tensor_grid
 
 NORMALIZATION_TOL = 1e-9
 
@@ -308,6 +308,22 @@ def native_order(p: Density) -> int:
 def _is_product(p: Density) -> bool:
     """Whether p is the product of its 1-D marginals on p.grid."""
     return p.dim == 1 or not isinstance(p, GridDensity)
+
+
+def factor_values(p: Density, j: int, rule: QuadRule1D) -> np.ndarray:
+    """Factor j of a product-form density at the nodes of rule."""
+    return p.marginal_values(j) if rule is p.grid.rules[j] else p.factor_pdf(j, rule.nodes)
+
+
+def grid_values(p: Density, grid: QuadGridND) -> np.ndarray:
+    """p at the nodes of grid, in grid.nodes() order: the outer product of the
+    factor values of a product, the stored values of a grid density on its
+    own grid, else p.pdf at the joint nodes."""
+    if _is_product(p):
+        grid.check_budget()
+        factors = (factor_values(p, j, rule) for j, rule in enumerate(grid.rules))
+        return functools.reduce(np.multiply.outer, factors).ravel()
+    return p.values if grid == p.grid else p.pdf(grid.nodes())
 
 
 def uniform_density(dim: int, order: Optional[int] = None) -> GridDensity:

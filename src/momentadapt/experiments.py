@@ -35,6 +35,7 @@ from .densities import (
     ProductDensity,
     Sample,
     draw_sample,
+    grid_values,
     make_truncated_normal,
     moments,
     product_density,
@@ -566,7 +567,8 @@ def toy_adaptation_demo(
     x_q = draw_sample(q, s.k, seed + SEED_STRIDE)
     labels_p = (x_p.points[:, 0] > s.label_boundary).astype(float)
 
-    basis = make_tensor_basis(5, 2)
+    m = SECTION7["m"]
+    basis = make_tensor_basis(m, 2)
 
     def target_risk(c: float, threshold: float) -> float:
         # labeling transported through g^{-1}: a -> 1[a^(1/c) > boundary]
@@ -582,9 +584,8 @@ def toy_adaptation_demo(
         # change of variables: risk under the pushforward of q equals the
         # x-space integral of |f(g(x)) - l(x)| q(x)
         grid = q.grid
-        pts = grid.nodes()
-        rep = _apply_g(pts, c)
-        return grid.integrate_values(np.abs(f(rep) - lab(rep)) * q.pdf(pts))
+        rep = _apply_g(grid.nodes(), c)
+        return grid.integrate_values(np.abs(f(rep) - lab(rep)) * grid_values(q, grid))
 
     rows = []
     selections = {}
@@ -593,7 +594,7 @@ def toy_adaptation_demo(
         for c in s.g_exponents:
             rep_p = _apply_g(x_p.points, c)
             rep_q = _apply_g(x_q.points, c)
-            penalty = cmd(Sample(rep_p), Sample(rep_q), 5)
+            penalty = cmd(Sample(rep_p), Sample(rep_q), m)
             for threshold in s.f_thresholds:
                 pred = (rep_p[:, 0] > threshold).astype(float)
                 emp = float(np.mean(np.abs(pred - labels_p)))
@@ -627,13 +628,13 @@ def toy_adaptation_demo(
     certificate = theorem2_certificate(
         k=s.k,
         d=s.vc_dimension,
-        delta=0.2,
-        m=5,
+        delta=SECTION7["delta"],
+        m=m,
         dim=2,
         mu_hat_p=sample_moments(Sample(np.clip(rep_p, 0.0, 1.0)), basis),
         mu_hat_q=sample_moments(Sample(np.clip(rep_q, 0.0, 1.0)), basis),
         epsilon=0.0,
-        constants=improved_constants(5, 5, 5.0, 10.0),
+        constants=improved_constants(m, SECTION7["r"], SECTION7["c_inf"], SECTION7["c_r"]),
         empirical_source_risk=chosen["empirical_source_risk"],
         lambda_star=0.0,
     )

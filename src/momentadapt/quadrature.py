@@ -22,9 +22,15 @@ MAX_ORDER = 512
 DEFAULT_ORDER_LOW_DIM = 128
 DEFAULT_ORDER_HIGH_DIM = 32
 
+MAX_NODES = 2**24  # admits the doubled grids 256^3 and 64^4 of default-order grid densities
+
 
 class QuadratureError(ValueError):
     pass
+
+
+class GridBudgetError(QuadratureError):
+    """A tensor grid has more than MAX_NODES nodes."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,12 +108,19 @@ class QuadGridND:
             out *= r.order
         return out
 
+    def check_budget(self) -> None:
+        """Raise GridBudgetError, before any allocation, above MAX_NODES."""
+        if self.n_nodes > MAX_NODES:
+            raise GridBudgetError(f"{self.n_nodes} tensor-grid nodes exceed MAX_NODES = {MAX_NODES}")
+
     def nodes(self) -> np.ndarray:
         """All tensor nodes as a (n_nodes, dim) array."""
+        self.check_budget()
         grids = np.meshgrid(*(r.nodes for r in self.rules), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
     def weights(self) -> np.ndarray:
+        self.check_budget()
         w = self.rules[0].weights
         for r in self.rules[1:]:
             w = np.outer(w, r.weights).ravel()

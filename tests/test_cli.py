@@ -121,6 +121,14 @@ class TestCertify:
             2.0 * sample_size(base)["required"], rel=1e-12
         )
 
+    def test_section7_table_only_for_unmodified_preset(self, capsys):
+        """The worked table holds the preset's own values, so it is left out
+        when a flag changes the certificate."""
+        _, out, _ = run_cli(capsys, "certify", "--preset", "section7", "--delta", "0.1")
+        assert "section7_table" not in json.loads(out)
+        _, out, _ = run_cli(capsys, "certify", "--preset", "section7", "--source-risk", "0.1")
+        assert "section7_table" in json.loads(out)
+
     def test_preset_rejects_invalid_flag(self, capsys):
         """--m 3 with the preset's r = 5 violates m >= r: exit 1, not a
         silently ignored flag."""
@@ -200,6 +208,18 @@ class TestDistance:
         )
         assert code == 0
         assert abs(json.loads(out)["value"]) <= 1e-12
+
+    def test_expfam_n5_l1_over_budget_kl_factorized(self, capsys):
+        """At N=5 the joint grid exceeds the node budget: L1 exits 1 with the
+        error on stderr, while KL adds the five 1-D KLs."""
+        p = json.dumps({"type": "expfam", "m": 2, "N": 5, "lambda": [0.2, -0.1] * 5})
+        q = json.dumps({"type": "expfam", "m": 2, "N": 5, "lambda": [-0.1, 0.3] * 5})
+        code, out, err = run_cli(capsys, "distance", "--p", p, "--q", q, "--metric", "l1")
+        assert (code, out) == (1, "")
+        assert "MAX_NODES" in err
+        code, out, _ = run_cli(capsys, "distance", "--p", p, "--q", q, "--metric", "kl")
+        assert code == 0
+        assert json.loads(out)["value"] > 0
 
     def test_bad_json(self, capsys):
         code, _, err = run_cli(

@@ -30,6 +30,7 @@ from momentadapt.densities import (
     sup_log_density,
     uniform_density,
 )
+from momentadapt.metrics import kl_divergence, l1_distance
 from momentadapt.quadrature import QuadGridND
 
 
@@ -336,6 +337,10 @@ class TestProductDensity:
         """A product is handled factor by factor: no tensor-grid nodes are
         built, neither at construction nor by its functionals."""
         factors = self._factors()
+        q_factors = [  # built here: a GridDensity checks itself on 1-D grids
+            make_truncated_normal(0.6, 0.25),
+            ExpFamilyDensity(basis=make_tensor_basis(2, 1), lam=np.array([-0.2, 0.4]), order=64),
+        ]
         built = []
         nodes = QuadGridND.nodes
         monkeypatch.setattr(
@@ -349,6 +354,9 @@ class TestProductDensity:
         marginal_pdf(p, 1)(np.linspace(0.0, 1.0, 5))
         draw_sample(p, 10, 0)
         sup_log_density(p)
+        q = product_density(q_factors)
+        kl_divergence(p, q)
+        l1_distance(p, q)
         assert built == []
 
     def test_pdf_is_product_of_factors(self):

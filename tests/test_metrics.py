@@ -1,18 +1,25 @@
 """Tests for probability metrics and risk functionals."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from momentadapt.basis import make_tensor_basis
 from momentadapt.densities import (
     DensityError,
     ExpFamilyDensity,
+    GridDensity,
     Sample,
+    from_callable,
     make_truncated_normal,
     moments,
+    product_density,
     uniform_density,
 )
 from momentadapt.metrics import (
@@ -33,6 +40,7 @@ from momentadapt.metrics import (
     total_variation,
     worst_case_labeling,
 )
+from momentadapt.quadrature import GridBudgetError, tensor_grid
 
 
 class TestL1AndTV:
@@ -227,3 +235,117 @@ class TestWorstCaseLabeling:
         p = make_truncated_normal(0.5, 0.2)
         _, gap = worst_case_labeling(threshold_classifier(0, 0.5), p, p)
         assert gap == pytest.approx(0.0, abs=1e-12)
+
+
+def _expfam(lam, order=128):
+    lam = np.asarray(lam, dtype=float)
+    return ExpFamilyDensity(basis=make_tensor_basis(3, lam.size // 3), lam=lam, order=order)
+
+
+@st.composite
+def _product_pairs(draw):
+    """(p, q, order) with p and q product-form densities on order^N grids."""
+    unit = st.floats(0.2, 0.8)
+    sigma = st.floats(0.1, 0.4)
+    kind = draw(st.sampled_from(["expfam", "product", "truncnorm"]))
+    if kind == "expfam":
+        dim = draw(st.integers(1, 3))
+        order = draw(st.sampled_from([8, 12, 16]))
+        lams = draw(st.lists(st.floats(-1.5, 1.5), min_size=6 * dim, max_size=6 * dim))
+        return _expfam(lams[: 3 * dim], order), _expfam(lams[3 * dim :], order), order
+    if kind == "product":
+        # factors of native orders 64 and 128 on the common 128-point rule
+        pair = [
+            product_density(
+                [
+                    make_truncated_normal(draw(unit), draw(sigma), order=64),
+                    make_truncated_normal(draw(unit), draw(sigma), order=128),
+                ]
+            )
+            for _ in range(2)
+        ]
+        return pair[0], pair[1], 128
+    p = make_truncated_normal(draw(unit), draw(sigma), order=128)
+    return p, make_truncated_normal(draw(unit), draw(sigma), order=512), 512
+
+
+class TestProductForm:
+    """Product-form densities are integrated from their 1-D factors."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pair=_product_pairs(),
+        axes=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        cuts=st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9)),
+    )
+    def test_matches_joint_grid_reference(self, pair, axes, cuts):
+        p, q, order = pair
+        f = threshold_classifier(axes[0] % p.dim, cuts[0])
+        axis, cut = axes[1] % p.dim, cuts[1]
+        l = Labeling(fn=lambda pts: (pts[:, axis] > cut).astype(float))
+        grid = tensor_grid(p.dim, order)
+        pts = grid.nodes()
+        pv, qv = p.pdf(pts), q.pdf(pts)
+        diff = np.abs(f(pts) - l(pts))
+        reference = [
+            grid.integrate_values(np.abs(pv - qv)),
+            grid.integrate_values(pv * (np.log(pv) - np.log(qv))),
+            grid.integrate_values(diff * pv),
+            abs(grid.integrate_values(diff * qv) - grid.integrate_values(diff * pv)),
+        ]
+        got = [
+            l1_distance(p, q, order),
+            kl_divergence(p, q, order),
+            risk(f, l, p, order),
+            labeling_gap(f, l, p, q, order),
+        ]
+        # atol: the labeling gap is a difference of two O(1) integrals
+        np.testing.assert_allclose(got, reference, rtol=1e-12, atol=1e-15)
+
+    def test_kl_at_n5_is_sum_of_factor_kls(self):
+        """At the application dimension N=5 the joint 128^5 grid is never
+        built: KL returns at once and matches the closed form."""
+        rng = np.random.default_rng(5)
+        p, q = (_expfam(rng.uniform(-1.5, 1.5, 15)) for _ in range(2))
+        start = time.perf_counter()
+        value = kl_divergence(p, q)
+        assert time.perf_counter() - start < 1.0
+        assert value == pytest.approx(kl_expfam_closed_form(p, q), abs=1e-7)
+
+    def test_l1_and_risk_at_n5_exceed_node_budget(self):
+        rng = np.random.default_rng(6)
+        p, q = (_expfam(rng.uniform(-1.5, 1.5, 15)) for _ in range(2))
+        with pytest.raises(GridBudgetError):
+            l1_distance(p, q)
+        with pytest.raises(GridBudgetError):
+            risk(threshold_classifier(0, 0.5), Labeling(fn=lambda pts: pts[:, 1] > 0.5), p)
+
+    def test_value_only_grid_densities(self):
+        """A GridDensity given only node values is integrated on its own grid."""
+        f = threshold_classifier(0, 0.4)
+        l = Labeling(fn=lambda pts: (pts[:, -1] > 0.6).astype(float))
+        for dim, order in ((1, 64), (2, 16)):
+            p, q = (
+                from_callable(lambda pts, c=c: np.exp(-np.sum((pts - c) ** 2, axis=1)), dim, order)
+                for c in (0.3, 0.7)
+            )
+            p_vals, q_vals = (GridDensity(d.grid, values=d.values) for d in (p, q))
+            assert not p_vals.has_evaluator
+            for metric in (l1_distance, kl_divergence):
+                assert metric(p_vals, q_vals, order) == pytest.approx(
+                    metric(p, q, order), rel=1e-12
+                )
+            assert risk(f, l, p_vals, order) == pytest.approx(risk(f, l, p, order), rel=1e-12)
+
+    def test_n3_l1_memory(self):
+        """The L1 of two N=3 members on the 128^3 grid stores a few value
+        tables, not the 2.1e6 x 3 nodes and the 2.1e6 x 3 x 4 feature tensor."""
+        rng = np.random.default_rng(3)
+        p, q = (_expfam(rng.uniform(-1.5, 1.5, 9)) for _ in range(2))
+        tracemalloc.start()
+        try:
+            l1_distance(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from momentadapt.quadrature import (
+    MAX_NODES,
+    GridBudgetError,
     QuadratureError,
     default_order,
     gauss_rule,
@@ -77,3 +79,14 @@ class TestTensorGrid:
         with pytest.raises(QuadratureError):
             grid.integrate(lambda p: np.ones((p.shape[0], 2)))
 
+    def test_node_budget(self):
+        """Grids above MAX_NODES raise a typed error before allocating; the
+        doubled grids of default-order 3-D and 4-D grid densities fit."""
+        assert MAX_NODES == 2**24
+        tensor_grid(3, 256).check_budget()
+        tensor_grid(4, 64).check_budget()
+        grid = tensor_grid(5, 128)  # 3.4e10 nodes
+        for build in (grid.nodes, grid.weights, grid.check_budget):
+            with pytest.raises(GridBudgetError):
+                build()
+        assert issubclass(GridBudgetError, QuadratureError)
