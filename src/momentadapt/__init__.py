@@ -12,7 +12,6 @@ from .basis import (
     TensorBasis,
     build_legendre_basis,
     coefficient_abs_sums,
-    count_monomials,
     make_tensor_basis,
 )
 from .bounds import (

@@ -163,12 +163,6 @@ class TensorBasis:
     def n_features(self) -> int:
         return self.m * self.dim
 
-    def flat_index(self, j: int, i: int) -> int:
-        """Flat feature index of order i in dimension j (i >= 1)."""
-        if not (0 <= j < self.dim and 1 <= i <= self.m):
-            raise IndexError(f"no feature (j={j}, i={i})")
-        return j * self.m + (i - 1)
-
     def eval(self, x) -> np.ndarray:
         """Evaluate the feature vector at points in [0,1]^N.
 
@@ -180,7 +174,7 @@ class TensorBasis:
         pts = np.atleast_2d(x)
         if pts.shape[-1] != self.dim:
             raise ValueError(f"expected points in [0,1]^{self.dim}, got shape {x.shape}")
-        if np.any(pts < 0.0) or np.any(pts > 1.0):
+        if not np.all((pts >= 0.0) & (pts <= 1.0)):
             raise ValueError("point outside the unit cube")
         vals = self.per_dim.eval_all(pts)[..., 1:]  # drop the constant
         out = vals.reshape(pts.shape[0], self.n_features)
@@ -203,14 +197,3 @@ def coefficient_abs_sums(basis: PolyBasis1D) -> tuple[np.ndarray, float]:
     for i in range(1, m + 1):  # power of x
         r[i - 1] = np.sum(np.abs(basis.coeffs[1:, i]))
     return r, float(np.max(r))
-
-
-def count_monomials(m: int, dim: int) -> int:
-    """Number of monomials of total degree 1..m in `dim` variables.
-
-    Weak-composition count: C(dim + m, m) - 1 (constant excluded).
-    Python integers do not overflow, so no guard beyond validation.
-    """
-    if m < 1 or dim < 1:
-        raise ValueError("m and dim must be >= 1")
-    return math.comb(dim + m, m) - 1

@@ -68,7 +68,7 @@ class ImprovedConstants:
         }
 
 
-ConstantSpec = Union[str, float, ImprovedConstants]
+ConstantSpec = Union[str, ImprovedConstants]
 
 
 def improved_constants(m: int, r: int, c_inf: float, c_r: float) -> ImprovedConstants:
@@ -107,8 +107,6 @@ def _resolve_constant(constants: ConstantSpec, m: int) -> tuple[float, str]:
         return constants.C, "improved"
     if constants == "simple":
         return constant_C_simple(m), "simple"
-    if isinstance(constants, (int, float)):
-        return float(constants), "explicit"
     raise ValueError(f"unknown constant spec {constants!r}")
 
 

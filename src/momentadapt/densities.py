@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .basis import TensorBasis, feature_table, make_tensor_basis
-from .quadrature import QuadGridND, QuadRule1D, gauss_rule, tensor_grid
+from .quadrature import MAX_ORDER, QuadGridND, QuadRule1D, gauss_rule, tensor_grid
 
 NORMALIZATION_TOL = 1e-9
 
@@ -69,7 +69,7 @@ class MomentVector:
             )
         # features eta_i attain max |eta_i| = sqrt(2i+1) at the endpoints
         caps = np.tile(np.sqrt(2 * np.arange(1, self.basis.m + 1) + 1), self.basis.dim)
-        if np.any(np.abs(vals) > caps + 1e-9):
+        if not np.all(np.abs(vals) <= caps + 1e-9):
             raise ValueError("moment entry outside the attainable feature range")
         object.__setattr__(self, "values", vals)
         vals.setflags(write=False)
@@ -93,7 +93,7 @@ class Sample:
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if np.any(pts < 0.0) or np.any(pts > 1.0):
+        if not np.all((pts >= 0.0) & (pts <= 1.0)):
             raise ValueError("sample points must lie in [0,1]^N")
         object.__setattr__(self, "points", pts)
         pts.setflags(write=False)
@@ -144,7 +144,9 @@ class GridDensity:
         if raw is not None:
             # doubling self-check: a grid too coarse for the density shows
             # up as a normalization error on the refined grid
-            fine = tensor_grid(grid.dim, min(2 * grid.rules[0].order, 512))
+            fine = QuadGridND(
+                rules=tuple(gauss_rule(min(2 * r.order, MAX_ORDER)) for r in grid.rules)
+            )
             total = fine.integrate(lambda p: np.asarray(raw(p)) / z)
             if abs(total - 1.0) > NORMALIZATION_TOL:
                 raise GridResolutionError(
@@ -181,12 +183,22 @@ class GridDensity:
 
     def marginal_values(self, j: int) -> np.ndarray:
         """Marginal density of coordinate j at the nodes of grid.rules[j]."""
-        vals = self.values.reshape(tuple(r.order for r in self.grid.rules))
-        for axis in reversed(range(self.dim)):
-            if axis == j:
-                continue
-            vals = np.tensordot(vals, self.grid.rules[axis].weights, axes=([axis], [0]))
-        return vals
+        rules = self.grid.rules
+        vals = np.moveaxis(self.values.reshape(tuple(r.order for r in rules)), j, 0)
+        others = QuadGridND(rules=rules[:j] + rules[j + 1 :])
+        return others.integrate_values(vals.reshape(rules[j].order, -1))
+
+
+def _product_pdf(p: "Density", x) -> np.ndarray:
+    """Product over coordinates of p.factor_pdf, at one point of shape (N,)
+    or a batch (k, N); the pdf of every product-form density class."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    pts = np.atleast_2d(x)
+    out = np.ones(pts.shape[0])
+    for j in range(p.dim):
+        out *= p.factor_pdf(j, pts[:, j])
+    return out[0] if single else out
 
 
 class ExpFamilyDensity:
@@ -236,18 +248,7 @@ class ExpFamilyDensity:
         m = self.basis.m
         return self.lam[j * m : (j + 1) * m]
 
-    def log_pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        feats = self.basis.per_dim.eval_all(pts)[..., 1:]  # (k, N, m)
-        m = self.basis.m
-        lam = self.lam.reshape(self.dim, m)
-        out = -np.einsum("knm,nm->k", feats, lam) - np.sum(self._log_z)
-        return out[0] if single else out
-
-    def pdf(self, x) -> np.ndarray:
-        return np.exp(self.log_pdf(x))
+    pdf = _product_pdf
 
     def factor_pdf(self, j: int, x) -> np.ndarray:
         """1-D marginal factor along dimension j."""
@@ -279,14 +280,7 @@ class ProductDensity:
     def dim(self) -> int:
         return len(self.factors)
 
-    def pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        out = np.ones(pts.shape[0])
-        for j in range(self.dim):
-            out *= self.factor_pdf(j, pts[:, j])
-        return out[0] if single else out
+    pdf = _product_pdf
 
     def factor_pdf(self, j: int, x) -> np.ndarray:
         """1-D density of factor j."""
@@ -370,7 +364,6 @@ def marginal_pdf(p: Density, j: int) -> Callable[[np.ndarray], np.ndarray]:
     other = [ax for ax in range(p.dim) if ax != j]
     sub = QuadGridND(rules=tuple(p.grid.rules[ax] for ax in other))
     sub_nodes = sub.nodes()
-    sub_w = sub.weights()
 
     def marg(x: np.ndarray) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -379,7 +372,7 @@ def marginal_pdf(p: Density, j: int) -> Callable[[np.ndarray], np.ndarray]:
             pts = np.empty((sub_nodes.shape[0], p.dim))
             pts[:, other] = sub_nodes
             pts[:, j] = xv
-            out[idx] = float(np.dot(sub_w, p.pdf(pts)))
+            out[idx] = sub.integrate_values(p.pdf(pts))
         return out
 
     return marg

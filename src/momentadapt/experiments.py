@@ -218,6 +218,9 @@ def truncated_normal_counterexample(
 # times it, against a threshold of only 5^{-1}
 H30_LAMBDA_BOX = np.array([0.30, 0.25, 5.0e-4])
 H30_PAIR_PERTURBATION = 1.5e-4
+# theorem1_empirical_verification gives up after this many candidates per
+# requested admissible pair
+THEOREM1_ATTEMPTS_PER_TRIAL = 20
 
 
 def _random_h_member(
@@ -237,7 +240,6 @@ def theorem1_empirical_verification(
     m: int = 3,
     dim: int = 1,
     seed: int = 0,
-    max_attempts_factor: int = 20,
 ) -> ExperimentRecord:
     """Random admissible pairs never violate the moment-to-L1 bound.
 
@@ -258,7 +260,7 @@ def theorem1_empirical_verification(
     accepted = 0
     rejected_membership = 0
     rejected_gate = 0
-    while accepted < trials and attempts < max_attempts_factor * trials:
+    while accepted < trials and attempts < THEOREM1_ATTEMPTS_PER_TRIAL * trials:
         attempts += 1
         p = _random_h_member(rng, m, basis, H30_LAMBDA_BOX)
         if p is None:

@@ -145,8 +145,6 @@ def fit_maxent(
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if not np.all(np.isfinite(mu.values)):
-        raise ValueError("moment vector must be finite")
     basis = mu.basis
     m = basis.m
     lam = np.empty(basis.n_features)

@@ -52,13 +52,6 @@ class QuadRule1D:
     def order(self) -> int:
         return len(self.nodes)
 
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        vals = np.asarray(f(self.nodes), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            bad = self.nodes[~np.isfinite(vals)][0]
-            raise QuadratureError(f"non-finite integrand value at node x={bad!r}")
-        return float(np.dot(self.weights, vals))
-
     def integrate_values(self, vals: np.ndarray) -> float:
         """Weighted sum of values already tabulated at the nodes."""
         return float(np.dot(self.weights, np.asarray(vals, dtype=float)))
@@ -119,13 +112,6 @@ class QuadGridND:
         grids = np.meshgrid(*(r.nodes for r in self.rules), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
-    def weights(self) -> np.ndarray:
-        self.check_budget()
-        w = self.rules[0].weights
-        for r in self.rules[1:]:
-            w = np.outer(w, r.weights).ravel()
-        return w
-
     def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
         """Integrate f over [0,1]^N; f receives a (n_nodes, dim) batch."""
         pts = self.nodes()
@@ -137,10 +123,23 @@ class QuadGridND:
         if not np.all(np.isfinite(vals)):
             bad = pts[~np.isfinite(vals)][0]
             raise QuadratureError(f"non-finite integrand value at node {bad!r}")
-        return float(np.dot(self.weights(), vals))
+        return self.integrate_values(vals)
 
-    def integrate_values(self, vals: np.ndarray) -> float:
-        return float(np.dot(self.weights(), np.asarray(vals, dtype=float)))
+    def integrate_values(self, vals: np.ndarray) -> float | np.ndarray:
+        """Weighted sum over the trailing node axis of values tabulated in
+        nodes() order; leading axes are kept.
+
+        The grid axes are contracted with one rule's weights at a time, last
+        (fastest) axis first, so no joint weight table exists.
+        """
+        self.check_budget()
+        vals = np.asarray(vals, dtype=float)
+        lead = vals.shape[:-1]
+        if vals.shape[-1:] != (self.n_nodes,):
+            raise QuadratureError(f"expected {self.n_nodes} node values, got shape {vals.shape}")
+        for r in reversed(self.rules):
+            vals = vals.reshape(-1, r.order) @ r.weights
+        return vals.reshape(lead) if lead else float(vals[0])
 
 
 def tensor_grid(dim: int, order: int | None = None) -> QuadGridND:

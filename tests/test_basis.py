@@ -9,7 +9,6 @@ from momentadapt.basis import (
     DegreeError,
     build_legendre_basis,
     coefficient_abs_sums,
-    count_monomials,
     feature_table,
     make_tensor_basis,
 )
@@ -102,17 +101,6 @@ class TestFeatureTable:
 
 
 class TestTensorBasis:
-    def test_flat_index_ordering(self):
-        """Feature (j, i) lives at j*m + (i-1)."""
-        basis = make_tensor_basis(3, 4)
-        assert basis.n_features == 12
-        assert basis.flat_index(0, 1) == 0
-        assert basis.flat_index(2, 3) == 8
-        with pytest.raises(IndexError):
-            basis.flat_index(0, 0)
-        with pytest.raises(IndexError):
-            basis.flat_index(4, 1)
-
     def test_eval_matches_per_dim(self):
         basis = make_tensor_basis(2, 3)
         pt = np.array([0.2, 0.5, 0.9])
@@ -129,6 +117,8 @@ class TestTensorBasis:
         basis = make_tensor_basis(2, 2)
         with pytest.raises(ValueError):
             basis.eval(np.array([0.5, 1.5]))
+        with pytest.raises(ValueError):
+            basis.eval(np.array([[0.5, 0.5], [np.nan, 0.5]]))
 
 
 class TestCoefficientSums:
@@ -144,14 +134,3 @@ class TestCoefficientSums:
         np.testing.assert_allclose(r, expected, rtol=1e-12)
         assert c5 == pytest.approx(float(np.max(expected)), rel=1e-12)
         assert c5 == pytest.approx(2330.2249, rel=1e-6)
-
-
-class TestCountMonomials:
-    def test_binomial_formula(self):
-        assert count_monomials(5, 5) == math.comb(10, 5) - 1 == 251
-        assert count_monomials(1, 1) == 1
-        assert count_monomials(2, 3) == 9
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            count_monomials(0, 1)

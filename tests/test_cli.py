@@ -53,6 +53,12 @@ class TestFit:
         code, _, err = run_cli(capsys, "fit", str(f), "--m", "2", "--N", "1")
         assert code == 1
 
+    def test_nan_moment_rejected(self, tmp_path, capsys):
+        f = tmp_path / "mom.csv"
+        f.write_text("nan,0.1\n")
+        code, _, _ = run_cli(capsys, "fit", str(f), "--m", "2", "--N", "1")
+        assert code == 1
+
     def test_infeasible_exit_code(self, tmp_path, capsys):
         f = tmp_path / "mom.csv"
         f.write_text(f"{np.sqrt(3.0)},{np.sqrt(5.0)}\n")

@@ -1,5 +1,6 @@
 """Tests for density construction, functionals, and sampling."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from momentadapt.bounds import smoothness_membership
 from momentadapt.densities import (
     DensityError,
     ExpFamilyDensity,
+    GridDensity,
     GridResolutionError,
     MomentVector,
     ProductDensity,
@@ -31,7 +33,7 @@ from momentadapt.densities import (
     uniform_density,
 )
 from momentadapt.metrics import kl_divergence, l1_distance
-from momentadapt.quadrature import QuadGridND
+from momentadapt.quadrature import QuadGridND, gauss_rule
 
 
 def _scipy_truncnorm(mean, sigma):
@@ -51,6 +53,8 @@ class TestMomentVector:
         basis = make_tensor_basis(2, 1)
         with pytest.raises(ValueError):
             MomentVector(basis=basis, values=np.array([2.0, 0.0]))
+        with pytest.raises(ValueError):
+            MomentVector(basis=basis, values=np.array([np.nan, 0.1]))
 
     def test_per_dim_slicing(self):
         basis = make_tensor_basis(2, 2)
@@ -89,6 +93,15 @@ class TestGridDensity:
         assert p.pdf(np.array([[0.5]])) == pytest.approx(
             _scipy_truncnorm(0.5, 0.01).pdf(0.5), rel=1e-9
         )
+
+    def test_doubled_grid_check_is_per_axis(self):
+        """The self-check doubles each axis's own order: a peak that only the
+        order-128 axis resolves must not be re-checked at order 16."""
+        grid = QuadGridND((gauss_rule(8), gauss_rule(128)))
+        p = GridDensity(grid, raw=lambda x: np.exp(-(((x[:, 1] - 0.5) / 0.03) ** 2)))
+        fine = QuadGridND((gauss_rule(16), gauss_rule(256)))
+        total = fine.integrate(p.pdf)
+        assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_values_rejected(self):
         from momentadapt.quadrature import tensor_grid
@@ -220,6 +233,20 @@ class TestEntropy:
 
 
 class TestMarginals:
+    def test_grid_marginal_values_brute_force(self):
+        """marginal_values(j) equals the weighted sum over all other axes,
+        accumulated node by node."""
+        rules = tuple(gauss_rule(n) for n in (3, 4, 5))
+        grid = QuadGridND(rules)
+        p = GridDensity(grid, values=np.random.default_rng(2).random(grid.n_nodes) + 0.1)
+        vals = p.values.reshape(3, 4, 5)
+        for j in range(3):
+            ref = np.zeros(rules[j].order)
+            for idx in itertools.product(*(range(r.order) for r in rules)):
+                w = math.prod(rules[ax].weights[i] for ax, i in enumerate(idx) if ax != j)
+                ref[idx[j]] += w * vals[idx]
+            np.testing.assert_allclose(p.marginal_values(j), ref, rtol=1e-13)
+
     def test_grid_marginal_matches_factor(self):
         f1 = make_truncated_normal(0.4, 0.2)
         f2 = make_truncated_normal(0.6, 0.15)
@@ -386,6 +413,8 @@ class TestSampleContainer:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             Sample(points=np.array([[1.2, 0.5]]))
+        with pytest.raises(ValueError):
+            Sample(points=np.array([[np.nan], [0.5]]))
 
     def test_csv_round_trip(self):
         pts = np.random.default_rng(0).random((4, 2))

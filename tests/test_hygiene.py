@@ -6,6 +6,8 @@ skipped because it imports names only to re-export them.
 """
 
 import ast
+import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,24 @@ def test_scan_counts_attribute_roots_and_string_annotations():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_benchmark_layer_targets_are_traced():
+    """Every per-layer timing target named in BENCHMARK.json is a function
+    the benchmark tracer wraps, so removing or renaming a traced function
+    fails here instead of leaving its metrics empty."""
+    import momentadapt.cli  # noqa: F401  the tracer walks loaded modules only
+
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = {name for name, _ in tracer.Tracer()._targets()}
+
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    wanted = {
+        m["name"].rsplit(".", 1)[0]
+        for m in per_layer
+        if m["name"].endswith((".calls", ".self_s"))
+    }
+    assert wanted
+    assert sorted(wanted - traced) == []

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentadapt.quadrature import (
     MAX_NODES,
     GridBudgetError,
+    QuadGridND,
     QuadratureError,
     default_order,
     gauss_rule,
@@ -27,14 +30,14 @@ class TestGaussRule:
 
     def test_polynomial_exactness(self):
         """n-point Gauss integrates monomials up to degree 2n-1 exactly."""
-        rule = gauss_rule(8)
+        grid = QuadGridND((gauss_rule(8),))
         for k in range(16):
-            val = rule.integrate(lambda x, k=k: x**k)
+            val = grid.integrate(lambda p, k=k: p[:, 0] ** k)
             assert val == pytest.approx(1.0 / (k + 1), rel=1e-13)
 
     def test_smooth_integral(self):
-        rule = gauss_rule(32)
-        assert rule.integrate(np.exp) == pytest.approx(math.e - 1.0, rel=1e-14)
+        grid = QuadGridND((gauss_rule(32),))
+        assert grid.integrate(lambda p: np.exp(p[:, 0])) == pytest.approx(math.e - 1.0, rel=1e-14)
 
     def test_order_bounds(self):
         gauss_rule(2)
@@ -52,10 +55,10 @@ class TestGaussRule:
                 arr[0] = 0.5
 
     def test_non_finite_integrand_rejected(self):
-        rule = gauss_rule(8)
+        grid = QuadGridND((gauss_rule(8),))
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(QuadratureError):
-                rule.integrate(lambda x: 1.0 / (x - x))
+                grid.integrate(lambda p: 1.0 / (p[:, 0] - p[:, 0]))
 
 
 class TestTensorGrid:
@@ -66,7 +69,7 @@ class TestTensorGrid:
 
     def test_weights_sum_to_one(self):
         grid = tensor_grid(3, 8)
-        assert np.sum(grid.weights()) == pytest.approx(1.0, abs=1e-13)
+        assert grid.integrate_values(np.ones(grid.n_nodes)) == pytest.approx(1.0, abs=1e-13)
 
     def test_separable_integral(self):
         """int exp(x+y) over the square equals (e-1)^2."""
@@ -78,6 +81,10 @@ class TestTensorGrid:
         grid = tensor_grid(2, 4)
         with pytest.raises(QuadratureError):
             grid.integrate(lambda p: np.ones((p.shape[0], 2)))
+        # 32 values would contract to two "integrals" on the 16-node grid
+        for n in (8, 32):
+            with pytest.raises(QuadratureError):
+                grid.integrate_values(np.ones(n))
 
     def test_node_budget(self):
         """Grids above MAX_NODES raise a typed error before allocating; the
@@ -86,7 +93,35 @@ class TestTensorGrid:
         tensor_grid(3, 256).check_budget()
         tensor_grid(4, 64).check_budget()
         grid = tensor_grid(5, 128)  # 3.4e10 nodes
-        for build in (grid.nodes, grid.weights, grid.check_budget):
+        for build in (grid.nodes, lambda: grid.integrate_values(np.ones(3)), grid.check_budget):
             with pytest.raises(GridBudgetError):
                 build()
         assert issubclass(GridBudgetError, QuadratureError)
+
+
+def _outer_weight_integral(orders, vals):
+    """Reference: the joint weight vector built by explicit outer products."""
+    w = np.ones(1)
+    for n in orders:
+        w = np.outer(w, gauss_rule(n).weights).ravel()
+    return vals @ w
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    orders=st.lists(st.integers(2, 12), min_size=1, max_size=3),
+    batch=st.sampled_from([(), (1,), (3,), (2, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_integrate_values_matches_outer_weights(orders, batch, seed):
+    """Axis-by-axis contraction of anisotropic grids equals the sum against
+    the full outer-product weight vector, leading batch axes kept."""
+    grid = QuadGridND(tuple(gauss_rule(n) for n in orders))
+    vals = np.random.default_rng(seed).random(batch + (grid.n_nodes,)) + 0.5
+    got = grid.integrate_values(vals)
+    ref = _outer_weight_integral(orders, vals)
+    if batch:
+        assert got.shape == batch
+    else:
+        assert isinstance(got, float)
+    np.testing.assert_allclose(got, ref, rtol=1e-13)
