@@ -1,6 +1,7 @@
 """Evaluable generalization-bound certificates.
 
-Every bound is reported as an explicit breakdown: the constants used, each
+Every bound takes the two moment vectors only through their l1 distance
+and is reported as a `BoundCertificate`: the constants used, each
 applicability condition with its required and actual value, and the named
 terms whose sum forms the total.  A certificate whose conditions fail
 carries total = None rather than a silently meaningless number.
@@ -10,14 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import asdict, dataclass, replace
+from typing import Optional
 
 import numpy as np
 
-from .basis import build_legendre_basis, coefficient_abs_sums, make_tensor_basis
-from .densities import MomentVector, SmoothnessReport
-from .metrics import moment_l1
+from .basis import build_legendre_basis, coefficient_abs_sums
+from .densities import SmoothnessReport
 
 
 def constant_C_simple(m: int) -> float:
@@ -55,20 +55,7 @@ class ImprovedConstants:
             raise ValueError(f"constant {self.C} below its limit value {floor}")
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "r": self.r,
-            "c_inf": self.c_inf,
-            "c_r": self.c_r,
-            "gamma": self.gamma,
-            "xi": self.xi,
-            "C": self.C,
-            "applicable": self.applicable,
-            "source": "improved",
-        }
-
-
-ConstantSpec = Union[str, ImprovedConstants]
+        return {**asdict(self), "source": "improved"}
 
 
 def improved_constants(m: int, r: int, c_inf: float, c_r: float) -> ImprovedConstants:
@@ -102,26 +89,66 @@ def improved_constants(m: int, r: int, c_inf: float, c_r: float) -> ImprovedCons
     )
 
 
-def _resolve_constant(constants: ConstantSpec, m: int) -> tuple[float, str]:
-    if isinstance(constants, ImprovedConstants):
-        return constants.C, "improved"
-    if constants == "simple":
-        return constant_C_simple(m), "simple"
-    raise ValueError(f"unknown constant spec {constants!r}")
+def _constant(constants: Optional[ImprovedConstants], m: int) -> tuple[float, dict]:
+    """C and its certificate entry; None selects the uniform constant."""
+    if constants is None:
+        c_val = constant_C_simple(m)
+        return c_val, {"C": c_val, "source": "simple"}
+    return constants.C, constants.to_dict()
+
+
+def _check_inputs(
+    moment_distance: float,
+    epsilon: float,
+    source_risk: float = 0.0,
+    lambda_star: float = 0.0,
+) -> None:
+    """Reject NaN, infinite and out-of-range bound inputs."""
+    for name, value in (
+        ("moment distance", moment_distance),
+        ("epsilon", epsilon),
+        ("lambda_star", lambda_star),
+    ):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and non-negative, got {value}")
+    if not 0 <= source_risk <= 1:
+        raise ValueError(f"source risk must lie in [0, 1], got {source_risk}")
 
 
 @dataclass(frozen=True)
-class L1Bound:
-    """Result of the moment-to-L1 bound: either a value or the reason it
-    does not apply."""
+class Condition:
+    name: str
+    required: float
+    actual: float
+    ok: bool
 
-    applicable: bool
-    threshold: float
-    moment_distance: float
-    constant: float
-    constant_source: str
-    epsilon: float
-    value: Optional[float]
+
+@dataclass(frozen=True)
+class BoundCertificate:
+    """Full evaluated bound: inputs, conditions and per-term breakdown.
+
+    The total is derived, never stored: the plain sum of the terms, in
+    their order, when every condition holds and None otherwise.
+    """
+
+    inputs: dict
+    constants: dict
+    conditions: tuple[Condition, ...]
+    terms: dict
+
+    @property
+    def applicable(self) -> bool:
+        return all(c.ok for c in self.conditions)
+
+    @property
+    def total(self) -> Optional[float]:
+        return float(sum(self.terms.values())) if self.applicable else None
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "total": self.total}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def theorem1_threshold(c_val: float, m: int) -> float:
@@ -130,46 +157,47 @@ def theorem1_threshold(c_val: float, m: int) -> float:
 
 
 def theorem1_l1_bound(
-    mu_p: MomentVector,
-    mu_q: MomentVector,
+    moment_distance: float,
     m: int,
     epsilon: float,
-    constants: ConstantSpec = "simple",
-) -> L1Bound:
+    constants: Optional[ImprovedConstants] = None,
+) -> BoundCertificate:
     """L1 bound sqrt(2C) ||mu_p - mu_q||_1 + sqrt(8 eps), gated on the
-    moment difference being below 1/(2C(m+1))."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    c_val, source = _resolve_constant(constants, m)
-    dist = moment_l1(mu_p, mu_q)
+    moment distance being at most 1/(2C(m+1))."""
+    _check_inputs(moment_distance, epsilon)
+    c_val, constants_dict = _constant(constants, m)
     threshold = theorem1_threshold(c_val, m)
-    if dist > threshold:
-        return L1Bound(False, threshold, dist, c_val, source, epsilon, None)
-    value = math.sqrt(2.0 * c_val) * dist + math.sqrt(8.0 * epsilon)
-    return L1Bound(True, threshold, dist, c_val, source, epsilon, value)
+    return BoundCertificate(
+        inputs={"m": m, "epsilon": epsilon},
+        constants=constants_dict,
+        conditions=(
+            Condition(
+                "moment_distance",
+                required=threshold,
+                actual=moment_distance,
+                ok=moment_distance <= threshold,
+            ),
+        ),
+        terms={
+            "moment_term": math.sqrt(2.0 * c_val) * moment_distance,
+            "epsilon_term": math.sqrt(8.0 * epsilon),
+        },
+    )
 
 
 def corollary1_risk_bound(
-    mu_p: MomentVector,
-    mu_q: MomentVector,
+    moment_distance: float,
     m: int,
     epsilon: float,
     source_risk: float,
     lambda_star: float,
-    constants: ConstantSpec = "simple",
-) -> L1Bound:
-    """Target-risk bound: source risk + moment term + sqrt(8 eps) + lambda*."""
-    base = theorem1_l1_bound(mu_p, mu_q, m, epsilon, constants)
-    if not base.applicable:
-        return base
-    return L1Bound(
-        True,
-        base.threshold,
-        base.moment_distance,
-        base.constant,
-        base.constant_source,
-        epsilon,
-        base.value + source_risk + lambda_star,
+    constants: Optional[ImprovedConstants] = None,
+) -> BoundCertificate:
+    """Target-risk bound: moment term + sqrt(8 eps) + source risk + lambda*."""
+    _check_inputs(moment_distance, epsilon, source_risk, lambda_star)
+    base = theorem1_l1_bound(moment_distance, m, epsilon, constants)
+    return replace(
+        base, terms={**base.terms, "source_risk": source_risk, "lambda_star": lambda_star}
     )
 
 
@@ -183,62 +211,21 @@ def vc_generalization_term(k: float, d: float, delta: float) -> float:
 
 
 def minimal_sample_size(
-    constants: ConstantSpec, m: int, delta: float, sharper: bool = False
+    constants: Optional[ImprovedConstants], m: int, delta: float, sharper: bool = False
 ) -> float:
     """Smallest k satisfying the sample-size condition 4C^2(m+1)^2 m / delta <= k.
 
-    With sharper=True and improved constants, the e^{-c_inf} factor from
-    the sample lemma is included.
+    constants None selects the uniform constant.  With sharper=True and
+    improved constants, the e^{-c_inf} factor from the sample lemma is
+    included.
     """
-    c_val, _ = _resolve_constant(constants, m)
+    c_val, _ = _constant(constants, m)
     base = 4.0 * c_val**2 * (m + 1) ** 2 * m / delta
     if sharper:
-        if not isinstance(constants, ImprovedConstants):
+        if constants is None:
             raise ValueError("the sharper condition needs improved constants")
         base *= math.exp(-constants.c_inf)
     return base
-
-
-@dataclass(frozen=True)
-class Condition:
-    name: str
-    required: float
-    actual: float
-    ok: bool
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "required": self.required, "actual": self.actual, "ok": self.ok}
-
-
-@dataclass(frozen=True)
-class BoundCertificate:
-    """Full evaluated bound: inputs, conditions, per-term breakdown, total.
-
-    total is the plain sum of the terms when every condition holds and
-    None otherwise.
-    """
-
-    inputs: dict
-    constants: dict
-    conditions: tuple[Condition, ...]
-    terms: dict
-    total: Optional[float]
-
-    @property
-    def applicable(self) -> bool:
-        return all(c.ok for c in self.conditions)
-
-    def to_dict(self) -> dict:
-        return {
-            "inputs": self.inputs,
-            "constants": self.constants,
-            "conditions": [c.to_dict() for c in self.conditions],
-            "terms": self.terms,
-            "total": self.total,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def theorem2_certificate(
@@ -247,45 +234,41 @@ def theorem2_certificate(
     delta: float,
     m: int,
     dim: int,
-    mu_hat_p: MomentVector,
-    mu_hat_q: MomentVector,
+    moment_distance: float,
     epsilon: float,
-    constants: ConstantSpec,
+    constants: Optional[ImprovedConstants],
     empirical_source_risk: float,
     lambda_star: float,
     sharper_sample_condition: bool = False,
 ) -> BoundCertificate:
     """Sample-based target-risk certificate.
 
-    Conditions: 4C^2(m+1)^2 m / delta <= k and
-    ||mu_hat_p - mu_hat_q||_1 <= 1/(2(m+1) e C).  Terms: empirical source
-    risk, VC term, sqrt(2eC)*moment distance, sqrt(8C)*sqrt(N m/(k delta)),
-    sqrt(8 epsilon), lambda*.
+    Conditions: 4C^2(m+1)^2 m / delta <= k and the empirical moment
+    distance ||mu_hat_p - mu_hat_q||_1 <= 1/(2(m+1) e C).  Terms: empirical
+    source risk, VC term, sqrt(2eC)*moment distance,
+    sqrt(8C)*sqrt(N m/(k delta)), sqrt(8 epsilon), lambda*.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    c_val, source = _resolve_constant(constants, m)
-    dist = moment_l1(mu_hat_p, mu_hat_q)
+    _check_inputs(moment_distance, epsilon, empirical_source_risk, lambda_star)
+    c_val, constants_dict = _constant(constants, m)
     k_required = minimal_sample_size(constants, m, delta, sharper_sample_condition)
     moment_threshold = 1.0 / (2.0 * (m + 1) * math.e * c_val)
     conditions = (
         Condition("sample_size", required=k_required, actual=float(k), ok=k >= k_required),
-        Condition("moment_distance", required=moment_threshold, actual=dist, ok=dist <= moment_threshold),
+        Condition(
+            "moment_distance",
+            required=moment_threshold,
+            actual=moment_distance,
+            ok=moment_distance <= moment_threshold,
+        ),
     )
     terms = {
         "empirical_source_risk": empirical_source_risk,
         "vc_term": vc_generalization_term(k, d, delta),
-        "moment_term": math.sqrt(2.0 * math.e * c_val) * dist,
+        "moment_term": math.sqrt(2.0 * math.e * c_val) * moment_distance,
         "sampling_term": math.sqrt(8.0 * c_val) * math.sqrt(dim * m / (k * delta)),
         "epsilon_term": math.sqrt(8.0 * epsilon),
         "lambda_star": lambda_star,
     }
-    total = float(sum(terms.values())) if all(c.ok for c in conditions) else None
-    constants_dict = (
-        constants.to_dict()
-        if isinstance(constants, ImprovedConstants)
-        else {"C": c_val, "source": source}
-    )
     return BoundCertificate(
         inputs={
             "k": float(k),
@@ -300,7 +283,6 @@ def theorem2_certificate(
         constants=constants_dict,
         conditions=conditions,
         terms=terms,
-        total=total,
     )
 
 
@@ -357,21 +339,6 @@ def smoothness_membership(report: SmoothnessReport, epsilon: float) -> Membershi
     )
 
 
-def moment_pair_at_distance(
-    m: int, dim: int, distance: float
-) -> tuple[MomentVector, MomentVector]:
-    """Zero moment vector and a copy shifted by `distance` in its first
-    entry: the empirical moments of a certificate known only through
-    their l1 distance."""
-    basis = make_tensor_basis(m, dim)
-    shifted = np.zeros(basis.n_features)
-    shifted[0] = distance
-    return (
-        MomentVector(basis=basis, values=np.zeros(basis.n_features)),
-        MomentVector(basis=basis, values=shifted),
-    )
-
-
 # The fifth-order application: order, smoothness order, class constants,
 # failure probability, dimension, VC dimension and the quoted sample size.
 SECTION7 = {
@@ -396,15 +363,13 @@ def section7_certificate(
     """Certificate at the SECTION7 preset, with zero defaults for the
     empirical inputs."""
     p = SECTION7
-    mu_hat_p, mu_hat_q = moment_pair_at_distance(p["m"], p["N"], moment_distance)
     return theorem2_certificate(
         k=k,
         d=p["d"],
         delta=p["delta"],
         m=p["m"],
         dim=p["N"],
-        mu_hat_p=mu_hat_p,
-        mu_hat_q=mu_hat_q,
+        moment_distance=moment_distance,
         epsilon=epsilon,
         constants=improved_constants(p["m"], p["r"], p["c_inf"], p["c_r"]),
         empirical_source_risk=empirical_source_risk,

@@ -21,7 +21,6 @@ from .basis import DegreeError, build_legendre_basis, make_tensor_basis
 from .bounds import (
     SECTION7,
     improved_constants,
-    moment_pair_at_distance,
     section7_values,
     theorem2_certificate,
 )
@@ -153,8 +152,6 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    if args.epsilon is not None and args.epsilon < 0:
-        raise CliError("epsilon must be non-negative")
     # unset flags take the preset's values; without a preset, delta is 0.2
     defaults = SECTION7 if args.preset == "section7" else {"delta": 0.2}
     for name, value in defaults.items():
@@ -169,18 +166,14 @@ def _cmd_certify(args) -> int:
             args.m, args.r if args.r is not None else args.m, args.c_inf, args.c_r
         )
     else:
-        constants = "simple"
-    mu_hat_p, mu_hat_q = moment_pair_at_distance(
-        args.m, args.N, args.moment_distance or 0.0
-    )
+        constants = None
     cert = theorem2_certificate(
         k=args.k,
         d=args.d,
         delta=args.delta,
         m=args.m,
         dim=args.N,
-        mu_hat_p=mu_hat_p,
-        mu_hat_q=mu_hat_q,
+        moment_distance=args.moment_distance or 0.0,
         epsilon=args.epsilon or 0.0,
         constants=constants,
         empirical_source_risk=args.source_risk,

@@ -35,9 +35,9 @@ from .densities import (
     ProductDensity,
     Sample,
     draw_sample,
-    grid_values,
     make_truncated_normal,
     moments,
+    native_order,
     product_density,
     sample_moments,
     smoothness_report,
@@ -51,6 +51,7 @@ from .metrics import (
     l1_distance,
     levy_metric,
     moment_l1,
+    risk,
     tabulate_cdf,
 )
 
@@ -213,26 +214,14 @@ def truncated_normal_counterexample(
 # Moment-to-L1 bound verified on random admissible density pairs
 # ---------------------------------------------------------------------------
 
-# lambda box for random order-3 class members: the cubic coefficient is
-# pinned tightly because the third-derivative norm scales as 120*sqrt(7)
-# times it, against a threshold of only 5^{-1}
+# per-coordinate lambda box for random order-3 class members: the cubic
+# coefficient is pinned tightly because the third-derivative norm scales as
+# 120*sqrt(7) times it, against a threshold of only 5^{-1}
 H30_LAMBDA_BOX = np.array([0.30, 0.25, 5.0e-4])
 H30_PAIR_PERTURBATION = 1.5e-4
 # theorem1_empirical_verification gives up after this many candidates per
 # requested admissible pair
 THEOREM1_ATTEMPTS_PER_TRIAL = 20
-
-
-def _random_h_member(
-    rng: np.random.Generator, m: int, basis, box: np.ndarray
-) -> Optional[ExpFamilyDensity]:
-    lam = rng.uniform(-box, box)
-    p = ExpFamilyDensity(basis=basis, lam=lam)
-    report = smoothness_report(p, m, basis=basis)
-    verdict = smoothness_membership(report, epsilon=0.0)
-    if verdict.member:
-        return p
-    return None
 
 
 def theorem1_empirical_verification(
@@ -252,8 +241,14 @@ def theorem1_empirical_verification(
     if trials < 1:
         raise ValueError("need at least one trial")
     basis = make_tensor_basis(m, dim)
+    box = np.tile(H30_LAMBDA_BOX, dim)
     c_val = constant_C_simple(m)
     gate = theorem1_threshold(c_val, m)
+
+    def member(density: ExpFamilyDensity) -> bool:
+        report = smoothness_report(density, m, basis=basis)
+        return smoothness_membership(report, epsilon=0.0).member is True
+
     rng = np.random.default_rng(seed)
     rows = []
     attempts = 0
@@ -262,20 +257,20 @@ def theorem1_empirical_verification(
     rejected_gate = 0
     while accepted < trials and attempts < THEOREM1_ATTEMPTS_PER_TRIAL * trials:
         attempts += 1
-        p = _random_h_member(rng, m, basis, H30_LAMBDA_BOX)
-        if p is None:
+        p = ExpFamilyDensity(basis=basis, lam=rng.uniform(-box, box))
+        if not member(p):
             rejected_membership += 1
             continue
         delta = rng.uniform(
             -H30_PAIR_PERTURBATION, H30_PAIR_PERTURBATION, size=basis.n_features
         )
         q = ExpFamilyDensity(basis=basis, lam=p.lam + delta)
-        report_q = smoothness_report(q, m, basis=basis)
-        if not smoothness_membership(report_q, epsilon=0.0).member:
+        if not member(q):
             rejected_membership += 1
             continue
-        result = theorem1_l1_bound(moments(p, basis), moments(q, basis), m, 0.0)
-        if not result.applicable:
+        dist = moment_l1(moments(p, basis), moments(q, basis))
+        bound = theorem1_l1_bound(dist, m, 0.0).total
+        if bound is None:
             rejected_gate += 1
             continue
         accepted += 1
@@ -283,11 +278,11 @@ def theorem1_empirical_verification(
         rows.append(
             {
                 "trial": accepted,
-                "moment_l1": result.moment_distance,
+                "moment_l1": dist,
                 "l1": realized,
-                "bound": result.value,
-                "slack": result.value - realized,
-                "violation": realized > result.value,
+                "bound": bound,
+                "slack": bound - realized,
+                "violation": realized > bound,
             }
         )
     slacks = np.array([r["slack"] for r in rows]) if rows else np.array([np.inf])
@@ -573,21 +568,19 @@ def toy_adaptation_demo(
     basis = make_tensor_basis(m, 2)
 
     def target_risk(c: float, threshold: float) -> float:
+        # change of variables: risk under the pushforward of q equals the
+        # x-space risk of x -> f(g(x)) against x -> l(g(x)), where l is the
         # labeling transported through g^{-1}: a -> 1[a^(1/c) > boundary]
         boundary_rep = s.label_boundary**c
         f = Classifier(
-            fn=lambda pts: (pts[:, 0] > threshold).astype(float),
+            fn=lambda pts: (_apply_g(pts, c)[:, 0] > threshold).astype(float),
             description=f"rep threshold {threshold}",
         )
         lab = Labeling(
-            fn=lambda pts: (pts[:, 0] > boundary_rep).astype(float),
+            fn=lambda pts: (_apply_g(pts, c)[:, 0] > boundary_rep).astype(float),
             description="transported labeling",
         )
-        # change of variables: risk under the pushforward of q equals the
-        # x-space integral of |f(g(x)) - l(x)| q(x)
-        grid = q.grid
-        rep = _apply_g(grid.nodes(), c)
-        return grid.integrate_values(np.abs(f(rep) - lab(rep)) * grid_values(q, grid))
+        return risk(f, lab, q, order=native_order(q))
 
     rows = []
     selections = {}
@@ -633,8 +626,10 @@ def toy_adaptation_demo(
         delta=SECTION7["delta"],
         m=m,
         dim=2,
-        mu_hat_p=sample_moments(Sample(np.clip(rep_p, 0.0, 1.0)), basis),
-        mu_hat_q=sample_moments(Sample(np.clip(rep_q, 0.0, 1.0)), basis),
+        moment_distance=moment_l1(
+            sample_moments(Sample(np.clip(rep_p, 0.0, 1.0)), basis),
+            sample_moments(Sample(np.clip(rep_q, 0.0, 1.0)), basis),
+        ),
         epsilon=0.0,
         constants=improved_constants(m, SECTION7["r"], SECTION7["c_inf"], SECTION7["c_r"]),
         empirical_source_risk=chosen["empirical_source_risk"],

@@ -3,10 +3,10 @@
 import json
 import math
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from momentadapt.basis import make_tensor_basis
 from momentadapt.bounds import (
     constant_C_simple,
     corollary1_risk_bound,
@@ -17,19 +17,33 @@ from momentadapt.bounds import (
     section7_values,
     smoothness_membership,
     theorem1_l1_bound,
+    theorem1_threshold,
     theorem2_certificate,
     vc_generalization_term,
 )
 from momentadapt.densities import (
-    MomentVector,
     make_truncated_normal,
     smoothness_report,
     uniform_density,
 )
 
 
-def _mu(basis, values):
-    return MomentVector(basis=basis, values=np.asarray(values, dtype=float))
+def _theorem2_cert(k=6.3e9, dist=0.0, **kwargs):
+    consts = improved_constants(5, 5, 5.0, 10.0)
+    defaults = dict(
+        k=k,
+        d=6,
+        delta=0.2,
+        m=5,
+        dim=5,
+        moment_distance=dist,
+        epsilon=0.0,
+        constants=consts,
+        empirical_source_risk=0.0,
+        lambda_star=0.0,
+    )
+    defaults.update(kwargs)
+    return theorem2_certificate(**defaults)
 
 
 class TestSimpleConstant:
@@ -114,52 +128,111 @@ class TestInductionInequalities:
 
 class TestTheorem1Bound:
     def test_zero_difference_zero_bound(self):
-        basis = make_tensor_basis(3, 1)
-        mu = _mu(basis, np.zeros(3))
-        res = theorem1_l1_bound(mu, mu, 3, 0.0)
-        assert res.applicable and res.value == 0.0
+        res = theorem1_l1_bound(0.0, 3, 0.0)
+        assert res.applicable and res.total == 0.0
 
     def test_simple_threshold_m5(self):
-        basis = make_tensor_basis(5, 1)
-        mu = _mu(basis, np.zeros(5))
-        res = theorem1_l1_bound(mu, mu, 5, 0.0)
-        assert res.threshold == pytest.approx(
+        res = theorem1_l1_bound(0.0, 5, 0.0)
+        (cond,) = res.conditions
+        assert cond.name == "moment_distance"
+        assert cond.required == pytest.approx(
             1.0 / (2 * 2 * math.exp(7.0) * 6), rel=1e-12
         )
+        assert res.constants == {"C": constant_C_simple(5), "source": "simple"}
 
     def test_gate_rejection(self):
-        basis = make_tensor_basis(3, 1)
-        mu_p = _mu(basis, np.zeros(3))
-        mu_q = _mu(basis, [0.5, 0.0, 0.0])
-        res = theorem1_l1_bound(mu_p, mu_q, 3, 0.0)
-        assert not res.applicable and res.value is None
+        res = theorem1_l1_bound(0.5, 3, 0.0)
+        assert not res.applicable and res.total is None
+        assert res.conditions[0].actual == 0.5 and res.conditions[0].ok is False
 
     def test_epsilon_term(self):
-        basis = make_tensor_basis(3, 1)
-        mu = _mu(basis, np.zeros(3))
-        res = theorem1_l1_bound(mu, mu, 3, 0.02)
-        assert res.value == pytest.approx(math.sqrt(0.16), rel=1e-12)
+        res = theorem1_l1_bound(0.0, 3, 0.02)
+        assert res.terms["epsilon_term"] == pytest.approx(math.sqrt(0.16), rel=1e-12)
+        assert res.total == pytest.approx(math.sqrt(0.16), rel=1e-12)
 
     def test_negative_epsilon_rejected(self):
-        basis = make_tensor_basis(3, 1)
-        mu = _mu(basis, np.zeros(3))
         with pytest.raises(ValueError):
-            theorem1_l1_bound(mu, mu, 3, -0.1)
+            theorem1_l1_bound(0.0, 3, -0.1)
+
+    def test_improved_constants_entry(self):
+        consts = improved_constants(5, 5, 5.0, 10.0)
+        res = theorem1_l1_bound(0.0, 5, 0.0, consts)
+        assert res.constants == consts.to_dict()
+        assert res.conditions[0].required == theorem1_threshold(consts.C, 5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(2, 8),
+        ratio=st.floats(0.0, 2.0),
+        epsilon=st.floats(0.0, 1.0),
+    )
+    def test_total_is_gated_sum(self, m, ratio, epsilon):
+        """The total is sqrt(2C) d + sqrt(8 eps) to the bit, and None exactly
+        when d exceeds the threshold."""
+        c_val = constant_C_simple(m)
+        threshold = theorem1_threshold(c_val, m)
+        dist = ratio * threshold
+        res = theorem1_l1_bound(dist, m, epsilon)
+        if dist > threshold:
+            assert res.total is None
+        else:
+            assert res.total == math.sqrt(2.0 * c_val) * dist + math.sqrt(8.0 * epsilon)
 
 
 class TestCorollary1:
     def test_additivity(self):
-        basis = make_tensor_basis(3, 1)
-        mu_p = _mu(basis, np.zeros(3))
-        mu_q = _mu(basis, [1e-5, 0.0, 0.0])
-        base = theorem1_l1_bound(mu_p, mu_q, 3, 0.0)
-        full = corollary1_risk_bound(mu_p, mu_q, 3, 0.0, 0.1, 0.05)
-        assert full.value == pytest.approx(base.value + 0.15, rel=1e-12)
+        base = theorem1_l1_bound(1e-5, 3, 0.0)
+        full = corollary1_risk_bound(1e-5, 3, 0.0, 0.1, 0.05)
+        assert full.total == base.total + 0.1 + 0.05
+        assert list(full.terms) == ["moment_term", "epsilon_term", "source_risk", "lambda_star"]
 
     def test_all_zero(self):
-        basis = make_tensor_basis(2, 1)
-        mu = _mu(basis, np.zeros(2))
-        assert corollary1_risk_bound(mu, mu, 2, 0.0, 0.0, 0.0).value == 0.0
+        assert corollary1_risk_bound(0.0, 2, 0.0, 0.0, 0.0).total == 0.0
+
+    def test_gate_rejection_carries_terms(self):
+        res = corollary1_risk_bound(0.5, 3, 0.0, 0.1, 0.05)
+        assert res.total is None and res.terms["source_risk"] == 0.1
+
+
+def _ids(bad: dict) -> str:
+    return "-".join(f"{k}={v}" for k, v in bad.items())
+
+
+class TestInputValidation:
+    """NaN, infinite and out-of-range inputs raise instead of producing a
+    total that is not a bound (or not valid JSON)."""
+
+    BAD = [
+        {"moment_distance": -1.0},
+        {"moment_distance": math.nan},
+        {"moment_distance": math.inf},
+        {"epsilon": -0.1},
+        {"epsilon": math.nan},
+        {"lambda_star": -0.5},
+        {"lambda_star": math.nan},
+        {"source_risk": 1.5},
+        {"source_risk": -0.1},
+        {"source_risk": math.nan},
+    ]
+
+    @pytest.mark.parametrize("bad", BAD, ids=_ids)
+    def test_corollary1(self, bad):
+        args = {"moment_distance": 1e-5, "m": 3, "epsilon": 0.0, "source_risk": 0.1, "lambda_star": 0.0}
+        with pytest.raises(ValueError):
+            corollary1_risk_bound(**{**args, **bad})
+
+    @pytest.mark.parametrize("bad", BAD, ids=_ids)
+    def test_theorem2(self, bad):
+        key = {"source_risk": "empirical_source_risk"}
+        with pytest.raises(ValueError):
+            _theorem2_cert(**{key.get(k, k): v for k, v in bad.items()})
+
+    @pytest.mark.parametrize(
+        "bad", [b for b in BAD if set(b) <= {"moment_distance", "epsilon"}], ids=_ids
+    )
+    def test_theorem1(self, bad):
+        with pytest.raises(ValueError):
+            theorem1_l1_bound(**{"moment_distance": 1e-5, "m": 3, "epsilon": 0.0, **bad})
 
 
 class TestVCTerm:
@@ -187,51 +260,28 @@ class TestVCTerm:
 
 
 class TestTheorem2Certificate:
-    def _cert(self, k=6.3e9, dist=0.0, **kwargs):
-        basis = make_tensor_basis(5, 5)
-        mu_p = _mu(basis, np.zeros(25))
-        values = np.zeros(25)
-        values[0] = dist
-        mu_q = _mu(basis, values)
-        consts = improved_constants(5, 5, 5.0, 10.0)
-        defaults = dict(
-            k=k,
-            d=6,
-            delta=0.2,
-            m=5,
-            dim=5,
-            mu_hat_p=mu_p,
-            mu_hat_q=mu_q,
-            epsilon=0.0,
-            constants=consts,
-            empirical_source_risk=0.0,
-            lambda_star=0.0,
-        )
-        defaults.update(kwargs)
-        return theorem2_certificate(**defaults)
-
     def test_minimal_k_reproduced(self):
         consts = improved_constants(5, 5, 5.0, 10.0)
         assert minimal_sample_size(consts, 5, 0.2) == pytest.approx(6.3e9, rel=0.02)
 
     def test_total_is_sum_of_terms(self):
-        cert = self._cert(dist=1e-5)
+        cert = _theorem2_cert(dist=1e-5, empirical_source_risk=0.1, lambda_star=0.05)
         assert cert.applicable
-        assert cert.total == pytest.approx(sum(cert.terms.values()), rel=1e-12)
+        assert cert.total == sum(cert.terms.values())
 
     def test_small_k_inapplicable(self):
-        cert = self._cert(k=1e6)
+        cert = _theorem2_cert(k=1e6)
         assert not cert.applicable and cert.total is None
         names = {c.name: c.ok for c in cert.conditions}
         assert names["sample_size"] is False
 
     def test_moment_condition(self):
-        cert = self._cert(dist=1e-3)
+        cert = _theorem2_cert(dist=1e-3)
         names = {c.name: c.ok for c in cert.conditions}
         assert names["moment_distance"] is False and cert.total is None
 
     def test_sampling_term_value(self):
-        cert = self._cert()
+        cert = _theorem2_cert()
         assert 0.0140 <= cert.terms["sampling_term"] <= 0.0150
 
     def test_sharper_condition_smaller(self):
@@ -241,13 +291,18 @@ class TestTheorem2Certificate:
         assert sharp == pytest.approx(plain * math.exp(-5.0), rel=1e-12)
 
     def test_json_schema_and_determinism(self):
-        cert1 = self._cert(dist=1e-5)
-        cert2 = self._cert(dist=1e-5)
+        cert1 = _theorem2_cert(dist=1e-5)
+        cert2 = _theorem2_cert(dist=1e-5)
         assert cert1.to_json() == cert2.to_json()
         payload = json.loads(cert1.to_json())
         assert set(payload) == {"inputs", "constants", "conditions", "terms", "total"}
         assert {"name", "required", "actual", "ok"} <= set(payload["conditions"][0])
         assert payload["constants"]["source"] == "improved"
+        assert payload["total"] == cert1.total
+
+    def test_simple_constant_entry(self):
+        cert = _theorem2_cert(constants=None)
+        assert cert.constants == {"C": constant_C_simple(5), "source": "simple"}
 
 
 class TestCmdConversion:

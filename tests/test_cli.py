@@ -158,6 +158,34 @@ class TestCertify:
         code, _, err = run_cli(capsys, "certify", "--k", "100")
         assert code == 1
 
+    FLAGS = ("certify", "--k", "1e12", "--d", "3", "--m", "3", "--N", "2")
+
+    def test_distance_above_feature_range_total_null(self, capsys):
+        """A moment distance is not one feature entry: 2.0 exceeds the range
+        of any single feature yet is a valid distance failing the gate."""
+        code, out, _ = run_cli(capsys, *self.FLAGS, "--moment-distance", "2.0")
+        assert code == 0
+        payload = json.loads(out)
+        cond = next(c for c in payload["conditions"] if c["name"] == "moment_distance")
+        assert cond["actual"] == 2.0 and cond["ok"] is False
+        assert payload["total"] is None
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--moment-distance", "-1.0"),
+            ("--epsilon", "nan"),
+            ("--source-risk", "nan"),
+            ("--source-risk", "1.5"),
+            ("--lambda-star", "-0.5"),
+        ],
+    )
+    def test_invalid_input_rejected(self, capsys, flag, value):
+        argv = [*self.FLAGS, "--moment-distance", "1e-5", flag, value]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == "" and "error:" in err
+
 
 class TestDistance:
     P = '{"type":"truncnorm","mean":0.4,"sigma":0.3}'

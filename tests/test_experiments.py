@@ -49,6 +49,14 @@ class TestTheorem1Verification:
         assert record.summary["slack_min"] >= 0
         assert record.summary["slack_median"] >= record.summary["slack_min"]
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_multivariate_pairs(self, dim):
+        """The lambda box is tiled per coordinate, so the verification runs
+        on [0,1]^N and finds admissible pairs there."""
+        record = theorem1_empirical_verification(trials=2, dim=dim, seed=0)
+        assert record.passed
+        assert record.summary["accepted"] == 2 and record.summary["violations"] == 0
+
 
 @pytest.fixture(scope="module")
 def p():

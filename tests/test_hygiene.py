@@ -58,6 +58,27 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+# Library modules from the bottom layer up.
+LAYERS = ("quadrature", "basis", "densities", "bounds", "maxent", "metrics", "experiments", "cli")
+
+
+def test_module_layering():
+    """A module-level `from .x import` names only modules earlier in LAYERS.
+
+    Only the module body is scanned, so function-level imports are skipped:
+    the deferred `from . import maxent` inside `densities.smoothness_report`
+    is one.
+    """
+    assert sorted(LAYERS) == sorted(p.stem for p in SRC.glob("*.py") if p.name != "__init__.py")
+    upward = []
+    for i, name in enumerate(LAYERS):
+        for node in ast.parse((SRC / f"{name}.py").read_text()).body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                upward += [f"{name} -> {t}" for t in targets if t not in LAYERS[:i]]
+    assert upward == []
+
+
 def test_benchmark_layer_targets_are_traced():
     """Every per-layer timing target named in BENCHMARK.json is a function
     the benchmark tracer wraps, so removing or renaming a traced function
