@@ -66,23 +66,22 @@ def improved_constants(m: int, r: int, c_inf: float, c_r: float) -> ImprovedCons
     """
     if not (m >= r >= 2):
         raise ValueError("need m >= r >= 2")
-    if c_inf < 0 or c_r < 0:
-        raise ValueError("c_inf and c_r must be non-negative")
-    gamma = (
-        math.exp(r) / (math.sqrt(r - 1) * (m + r) ** (r - 1)) * 0.5**r * c_r
-        if c_r > 0
-        else 0.0
-    )
-    if c_r > 0:
-        log_falling = sum(math.log(t) for t in range(m - r + 2, m + r + 2))
-        log_xi2 = c_inf + 2.0 * math.log(c_r) - r * math.log(4.0) - log_falling
-        xi = math.exp(0.5 * log_xi2)
-    else:
-        xi = 0.0
-    gate = 4.0 * math.exp(4.0 * gamma + 1.0) * math.exp(c_inf / 2.0) * (m + 1) * xi
-    # exponent: 1 + c_inf + 2*gamma + 4 e^{4 gamma + 1} xi e^{c_inf/2} (m+1)
-    log_half_c = 1.0 + c_inf + 2.0 * gamma + gate
-    c_val = 2.0 * math.exp(log_half_c)
+    if not (0 <= c_inf < math.inf and 0 <= c_r < math.inf):
+        raise ValueError(f"c_inf and c_r must be finite and non-negative, got {c_inf}, {c_r}")
+    gamma = xi = 0.0
+    try:
+        if c_r > 0:
+            gamma = math.exp(r) / (math.sqrt(r - 1) * (m + r) ** (r - 1)) * 0.5**r * c_r
+            log_falling = sum(math.log(t) for t in range(m - r + 2, m + r + 2))
+            log_xi2 = c_inf + 2.0 * math.log(c_r) - r * math.log(4.0) - log_falling
+            xi = math.exp(0.5 * log_xi2)
+        gate = 4.0 * math.exp(4.0 * gamma + 1.0) * math.exp(c_inf / 2.0) * (m + 1) * xi
+        # exponent: 1 + c_inf + 2*gamma + 4 e^{4 gamma + 1} xi e^{c_inf/2} (m+1)
+        c_val = 2.0 * math.exp(1.0 + c_inf + 2.0 * gamma + gate)
+    except OverflowError:
+        c_val = math.inf
+    if c_val == math.inf:
+        raise ValueError(f"improved constant overflows a float at c_inf={c_inf}, c_r={c_r}")
     return ImprovedConstants(
         m=m, r=r, c_inf=c_inf, c_r=c_r, gamma=gamma, xi=xi, C=c_val,
         applicable=gate <= 1.0,
@@ -203,8 +202,8 @@ def corollary1_risk_bound(
 
 def vc_generalization_term(k: float, d: float, delta: float) -> float:
     """Uniform-convergence term sqrt((4/k)(d log(2ek/d) + log(4/delta)))."""
-    if not (k > d >= 1):
-        raise ValueError("need sample size k > VC dimension d >= 1")
+    if not (math.inf > k > d >= 1):
+        raise ValueError("need finite sample size k > VC dimension d >= 1")
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
     return math.sqrt(4.0 / k * (d * math.log(2.0 * math.e * k / d) + math.log(4.0 / delta)))
@@ -353,27 +352,20 @@ SECTION7 = {
 }
 
 
-def section7_certificate(
-    k: float = SECTION7["k"],
-    moment_distance: float = 0.0,
-    epsilon: float = 0.0,
-    empirical_source_risk: float = 0.0,
-    lambda_star: float = 0.0,
-) -> BoundCertificate:
-    """Certificate at the SECTION7 preset, with zero defaults for the
-    empirical inputs."""
+def section7_certificate() -> BoundCertificate:
+    """Certificate at the SECTION7 preset, with zero empirical inputs."""
     p = SECTION7
     return theorem2_certificate(
-        k=k,
+        k=p["k"],
         d=p["d"],
         delta=p["delta"],
         m=p["m"],
         dim=p["N"],
-        moment_distance=moment_distance,
-        epsilon=epsilon,
+        moment_distance=0.0,
+        epsilon=0.0,
         constants=improved_constants(p["m"], p["r"], p["c_inf"], p["c_r"]),
-        empirical_source_risk=empirical_source_risk,
-        lambda_star=lambda_star,
+        empirical_source_risk=0.0,
+        lambda_star=0.0,
     )
 
 

@@ -147,7 +147,7 @@ def _cmd_fit(args) -> int:
     except MaxIterationsError as exc:
         log.error("no convergence: %s", exc)
         return EXIT_MAX_ITER
-    _emit(json.dumps(result.to_dict(), sort_keys=True), args.out)
+    _emit(json.dumps(result.to_dict(), sort_keys=True, allow_nan=False), args.out)
     return EXIT_OK
 
 
@@ -161,12 +161,13 @@ def _cmd_certify(args) -> int:
     missing = [name for name, val in required.items() if val is None]
     if missing:
         raise CliError(f"missing required flags without --preset: {missing}")
-    if args.c_inf is not None and args.c_r is not None:
+    if (args.c_inf is None) != (args.c_r is None) or (args.r is not None and args.c_r is None):
+        raise CliError("--c-inf and --c-r go together, and --r needs both")
+    constants = None
+    if args.c_inf is not None:
         constants = improved_constants(
             args.m, args.r if args.r is not None else args.m, args.c_inf, args.c_r
         )
-    else:
-        constants = None
     cert = theorem2_certificate(
         k=args.k,
         d=args.d,
@@ -186,7 +187,7 @@ def _cmd_certify(args) -> int:
         payload["section7_table"] = {
             k: v for k, v in section7_values().items() if k != "constants"
         }
-    _emit(json.dumps(payload, sort_keys=True), args.out)
+    _emit(json.dumps(payload, sort_keys=True, allow_nan=False), args.out)
     return EXIT_OK
 
 
@@ -211,7 +212,7 @@ def _cmd_distance(args) -> int:
         value = levy_metric(tabulate_cdf(p), tabulate_cdf(q))
     else:  # pragma: no cover - argparse choices guard this
         raise CliError(f"unsupported metric {metric!r}; supported: {', '.join(METRICS)}")
-    _emit(json.dumps({"metric": metric, "value": value}, sort_keys=True), args.out)
+    _emit(json.dumps({"metric": metric, "value": value}, sort_keys=True, allow_nan=False), args.out)
     return EXIT_OK
 
 

@@ -28,6 +28,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import quadrature
 from .basis import TensorBasis, feature_table, make_tensor_basis
 from .quadrature import MAX_ORDER, QuadGridND, QuadRule1D, gauss_rule, tensor_grid
 
@@ -142,16 +143,20 @@ class GridDensity:
         self.values = values / z
         self.values.setflags(write=False)
         if raw is not None:
-            # doubling self-check: a grid too coarse for the density shows
-            # up as a normalization error on the refined grid
-            fine = QuadGridND(
-                rules=tuple(gauss_rule(min(2 * r.order, MAX_ORDER)) for r in grid.rules)
+            # resolution self-check: a grid too coarse for the density shows
+            # up as a normalization error on the doubled grid; an axis at
+            # MAX_ORDER cannot double and is checked at half its order
+            orders = [r.order for r in grid.rules]
+            check = [MAX_ORDER // 2 if n == MAX_ORDER else min(2 * n, MAX_ORDER) for n in orders]
+            total = QuadGridND(rules=tuple(map(gauss_rule, check))).integrate(
+                lambda p: np.asarray(raw(p)) / z
             )
-            total = fine.integrate(lambda p: np.asarray(raw(p)) / z)
             if abs(total - 1.0) > NORMALIZATION_TOL:
+                fix = "increase the quadrature order"
+                if MAX_ORDER in orders:
+                    fix = f"the density is too narrow for MAX_ORDER = {MAX_ORDER}"
                 raise GridResolutionError(
-                    f"normalization off by {abs(total - 1.0):.2e} on the doubled "
-                    "grid; increase the quadrature order"
+                    f"normalization off by {abs(total - 1.0):.2e} on the check grid; {fix}"
                 )
 
     @property
@@ -201,6 +206,17 @@ def _product_pdf(p: "Density", x) -> np.ndarray:
     return out[0] if single else out
 
 
+def _log_partition(
+    rule: QuadRule1D, feats: np.ndarray, lam: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """log Z of the 1-D factor exp(-<lam, eta>) on rule, whose feature table
+    is feats, and the normalized factor at the rule's nodes."""
+    expo = -feats @ lam
+    shift = float(np.max(expo))
+    log_z = shift + math.log(rule.integrate_values(np.exp(expo - shift)))
+    return log_z, np.exp(expo - log_z)
+
+
 class ExpFamilyDensity:
     """Member of the product exponential family over [0,1]^N.
 
@@ -221,17 +237,14 @@ class ExpFamilyDensity:
         rule = gauss_rule(order)
         self.grid = QuadGridND(rules=(rule,) * basis.dim)
         feats = feature_table(rule, basis.m)  # (n, m)
-        m = basis.m
         self._log_z = np.empty(basis.dim)
         # factor densities at the rule nodes, kept so that moments, entropy
         # and KL never recompute the exponentials
         self._factor_node_vals = np.empty((basis.dim, rule.order))
         for j in range(basis.dim):
-            expo = -feats @ lam[j * m : (j + 1) * m]
-            shift = float(np.max(expo))
-            z = rule.integrate_values(np.exp(expo - shift))
-            self._log_z[j] = shift + math.log(z)
-            self._factor_node_vals[j] = np.exp(expo - self._log_z[j])
+            self._log_z[j], self._factor_node_vals[j] = _log_partition(
+                rule, feats, self.lam_dim(j)
+            )
         self._log_z.setflags(write=False)
         self._factor_node_vals.setflags(write=False)
 
@@ -539,15 +552,18 @@ def sup_log_density(p: Density) -> float:
         np.unique(np.concatenate([np.linspace(0, 1, 101), r.nodes]))
         for r in p.grid.rules
     ]
+    n_points = math.prod(len(a) for a in axes)
+    if n_points > quadrature.MAX_NODES:  # read at call time, like check_budget
+        raise quadrature.GridBudgetError(
+            f"{n_points} sup-log probe points exceed MAX_NODES = {quadrature.MAX_NODES}"
+        )
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=-1)
     lv = p.log_pdf(pts)
     return float(np.max(np.abs(lv)))
 
 
-def smoothness_report(
-    p: Density, m: int, basis: Optional[TensorBasis] = None
-) -> SmoothnessReport:
+def smoothness_report(p: Density, m: int) -> SmoothnessReport:
     """Estimate the smooth high-entropy class quantities of p at order m.
 
     The derivative norms come from finite differences on the log marginals
@@ -556,8 +572,7 @@ def smoothness_report(
     """
     from . import maxent  # deferred: maxent builds on this module
 
-    if basis is None:
-        basis = make_tensor_basis(m, p.dim)
+    basis = make_tensor_basis(m, p.dim)
     # fit/entropy quadrature must be at least as fine as the density's own
     # grid, or sharply peaked densities show spurious negative gaps
     try:

@@ -246,7 +246,7 @@ def theorem1_empirical_verification(
     gate = theorem1_threshold(c_val, m)
 
     def member(density: ExpFamilyDensity) -> bool:
-        report = smoothness_report(density, m, basis=basis)
+        report = smoothness_report(density, m)
         return smoothness_membership(report, epsilon=0.0).member is True
 
     rng = np.random.default_rng(seed)
@@ -335,7 +335,7 @@ def sample_concentration(
         raise ValueError("concentration experiment needs an exponential-family p")
     basis = p.basis
     m = basis.m
-    report = smoothness_report(p, m, basis=basis)
+    report = smoothness_report(p, m)
     consts = improved_constants(m, m, max(report.c_inf, 1e-12), float(np.max(report.c_r)))
     rows = []
     medians = []
@@ -427,56 +427,35 @@ _SECTION7_CHECKS = (
 )
 
 
+def _section7_row(
+    quantity: str, computed: float, quoted: float, tolerance: float = math.nan, ok=None
+) -> dict:
+    """One row of the section-7 table; ok defaults to rel_error <= tolerance."""
+    rel = abs(computed - quoted) / abs(quoted)
+    return {
+        "quantity": quantity,
+        "computed": float(computed),
+        "quoted": float(quoted),
+        "rel_error": float(rel),
+        "tolerance": float(tolerance),
+        "ok": rel <= tolerance if ok is None else ok,
+    }
+
+
 def section7_repro() -> ExperimentRecord:
     """Recompute the worked fifth-order constants and compare to quotes."""
     vals = section7_values()
-    rows = []
-    ok_all = True
-    for key, quoted, rtol in _SECTION7_CHECKS:
-        computed = vals[key]
-        rel = abs(computed - quoted) / abs(quoted)
-        ok = rel <= rtol
-        ok_all = ok_all and ok
-        rows.append(
-            {
-                "quantity": key,
-                "computed": float(computed),
-                "quoted": float(quoted),
-                "rel_error": float(rel),
-                "tolerance": float(rtol),
-                "ok": ok,
-            }
-        )
+    rows = [_section7_row(key, vals[key], quoted, rtol) for key, quoted, rtol in _SECTION7_CHECKS]
+    ok_all = all(row["ok"] for row in rows)
     sampling = vals["sampling_coefficient"] * math.sqrt(
         SECTION7["N"] / SECTION7["k"]
     )  # the quoted display evaluates 513*sqrt(N/k)
     sampling_ok = 0.0140 <= sampling <= 0.0150
-    rows.append(
-        {
-            "quantity": "sampling_term",
-            "computed": float(sampling),
-            "quoted": 0.0144,
-            "rel_error": abs(sampling - 0.0144) / 0.0144,
-            "tolerance": math.nan,
-            "ok": sampling_ok,
-        }
-    )
+    rows.append(_section7_row("sampling_term", sampling, 0.0144, ok=sampling_ok))
     # quoted end-to-end CMD coefficient vs the one implied by the printed
     # polynomial coefficients: reported, never asserted
-    rows.append(
-        {
-            "quantity": "end_to_end_cmd_coefficient",
-            "computed": float(vals["end_to_end_cmd_coefficient"]),
-            "quoted": float(vals["quoted_end_to_end_cmd_coefficient"]),
-            "rel_error": abs(
-                vals["end_to_end_cmd_coefficient"]
-                - vals["quoted_end_to_end_cmd_coefficient"]
-            )
-            / vals["quoted_end_to_end_cmd_coefficient"],
-            "tolerance": math.nan,
-            "ok": True,
-        }
-    )
+    key = "end_to_end_cmd_coefficient"
+    rows.append(_section7_row(key, vals[key], vals[f"quoted_{key}"], ok=True))
     criteria = (
         _criterion("constants_within_tolerance", ok_all, "all quoted constants reproduced"),
         _criterion(
@@ -594,28 +573,18 @@ def toy_adaptation_demo(
                 pred = (rep_p[:, 0] > threshold).astype(float)
                 emp = float(np.mean(np.abs(pred - labels_p)))
                 objective = emp + weight * penalty
-                key = (c, threshold)
                 if best is None or objective < best["objective"] - 1e-15:
                     best = {
+                        "weight": weight,
                         "g_exponent": c,
                         "f_threshold": threshold,
                         "empirical_source_risk": emp,
                         "cmd": penalty,
                         "objective": objective,
                     }
-        best["weight"] = weight
         best["target_risk"] = target_risk(best["g_exponent"], best["f_threshold"])
         selections[weight] = best
-        rows.append(
-            {
-                "weight": weight,
-                "g_exponent": best["g_exponent"],
-                "f_threshold": best["f_threshold"],
-                "empirical_source_risk": best["empirical_source_risk"],
-                "cmd": best["cmd"],
-                "target_risk": best["target_risk"],
-            }
-        )
+        rows.append({k: v for k, v in best.items() if k != "objective"})
 
     chosen = selections[1.0]
     rep_p = _apply_g(x_p.points, chosen["g_exponent"])
@@ -742,7 +711,7 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentRecord]] = {
     "truncated-normal": lambda seed=0, **kw: truncated_normal_counterexample(**kw),
     "theorem1-verify": lambda seed=0, **kw: theorem1_empirical_verification(seed=seed, **kw),
     "sample-concentration": lambda seed=0, **kw: _default_concentration(seed=seed, **kw),
-    "section7-repro": lambda seed=0, **kw: section7_repro(),
+    "section7-repro": lambda seed=0: section7_repro(),
     "toy-adaptation": lambda seed=0, **kw: toy_adaptation_demo(seed=seed, **kw),
     "levy-probe": lambda seed=0, **kw: levy_relation_probe(**kw),
 }

@@ -13,7 +13,6 @@ exactly into N independent m-dimensional problems.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ from .densities import (
     DensityError,
     ExpFamilyDensity,
     MomentVector,
+    _log_partition,
     entropy,
     moments,
 )
@@ -70,24 +70,17 @@ def _fit_1d(
     rule = gauss_rule(order)
     feats = feature_table(rule, basis.m)  # (n, m)
 
-    def log_z(lam: np.ndarray) -> float:
-        expo = -feats @ lam
-        shift = float(np.max(expo))
-        return shift + math.log(rule.integrate_values(np.exp(expo - shift)))
-
-    def node_density(lam: np.ndarray) -> np.ndarray:
-        return np.exp(-feats @ lam - log_z(lam))
-
-    def gamma(lam: np.ndarray) -> float:
-        return float(np.dot(lam, mu)) + log_z(lam)
+    def gamma(lam: np.ndarray) -> tuple[float, np.ndarray]:
+        """Gamma(lam) and the normalized density at the rule's nodes."""
+        log_z, pv = _log_partition(rule, feats, lam)
+        return float(np.dot(lam, mu)) + log_z, pv
 
     lam = np.zeros(len(mu))  # uniform start; the dual is globally convex
-    g_val = gamma(lam)
+    g_val, pv = gamma(lam)
     iters = 0
     stall = 0
     residual = np.inf
     for iters in range(1, max_iter + 1):
-        pv = node_density(lam)
         w = rule.weights * pv
         expect = feats.T @ w
         grad = mu - expect
@@ -114,12 +107,12 @@ def _fit_1d(
         accept_tol = 1e-14 * max(1.0, abs(g_val))
         while t > 1e-12:
             cand = lam - t * step
-            c_val = gamma(cand)
+            c_val, c_pv = gamma(cand)
             if c_val < g_val + accept_tol:
                 break
             t *= 0.5
         else:
-            cand, c_val = lam, g_val
+            cand, c_val, c_pv = lam, g_val, pv
         if c_val >= g_val - 1e-15 and residual > 1e-6:
             stall += 1
             if stall >= 3:
@@ -128,7 +121,7 @@ def _fit_1d(
                 )
         else:
             stall = 0
-        lam, g_val = cand, c_val
+        lam, g_val, pv = cand, c_val, c_pv
     raise MaxIterationsError(residual, max_iter)
 
 
@@ -143,8 +136,8 @@ def fit_maxent(
     Each dimension is fitted independently; the result is the product
     density, with the moment residual guaranteed below tol in sup norm.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     basis = mu.basis
     m = basis.m
     lam = np.empty(basis.n_features)
@@ -163,11 +156,9 @@ def fit_maxent(
     return FitResult(density=density, iterations=iters, residual=residual, dual_value=dual)
 
 
-def project(
-    p: Density, basis: TensorBasis, tol: float = DEFAULT_TOL, order: int = 128
-) -> FitResult:
+def project(p: Density, basis: TensorBasis, order: int = 128) -> FitResult:
     """Information projection of p: maxent fit at the moments of p."""
-    return fit_maxent(moments(p, basis), tol=tol, order=order)
+    return fit_maxent(moments(p, basis), order=order)
 
 
 def maxent_entropy(p: Density, basis: TensorBasis, order: int = 128) -> float:

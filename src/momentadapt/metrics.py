@@ -192,7 +192,6 @@ class Classifier:
 
     fn: Callable[[np.ndarray], np.ndarray]
     description: str = ""
-    params: Optional[dict] = None
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         out = np.asarray(self.fn(np.atleast_2d(pts)), dtype=float)
@@ -215,14 +214,10 @@ class Labeling:
         return np.clip(out, 0.0, 1.0)
 
 
-def threshold_classifier(axis: int, threshold: float, above: bool = True) -> Classifier:
-    sign = ">" if above else "<="
+def threshold_classifier(axis: int, threshold: float) -> Classifier:
     return Classifier(
-        fn=lambda pts: (
-            (pts[:, axis] > threshold) if above else (pts[:, axis] <= threshold)
-        ).astype(float),
-        description=f"x[{axis}] {sign} {threshold}",
-        params={"axis": axis, "threshold": threshold, "above": above},
+        fn=lambda pts: (pts[:, axis] > threshold).astype(float),
+        description=f"x[{axis}] > {threshold}",
     )
 
 
@@ -236,9 +231,16 @@ def risk(
     """
     if order is None:
         order = min(2 * max(native_order(p), default_order(p.dim)), MAX_ORDER)
-    grid = tensor_grid(p.dim, order)
+    return _loss_integrals(f, l, tensor_grid(p.dim, order), p)[0]
+
+
+def _loss_integrals(
+    f: Classifier, l: Labeling, grid: QuadGridND, *densities: Density
+) -> list[float]:
+    """int |f - l| p over grid, for each of the densities."""
     pts = grid.nodes()
-    return grid.integrate_values(np.abs(f(pts) - l(pts)) * grid_values(p, grid))
+    loss = np.abs(f(pts) - l(pts))
+    return [grid.integrate_values(loss * grid_values(p, grid)) for p in densities]
 
 
 def empirical_risk(f: Classifier, l: Labeling, sample: Sample) -> float:
@@ -272,10 +274,5 @@ def labeling_gap(
     f: Classifier, l: Labeling, p: Density, q: Density, order: Optional[int] = None
 ) -> float:
     """|E_q|f-l| - E_p|f-l|| on a shared grid (for maximality checks)."""
-    grid = _common_grid(p, q, order)
-    pts = grid.nodes()
-    diff = np.abs(f(pts) - l(pts))
-    return abs(
-        grid.integrate_values(diff * grid_values(q, grid))
-        - grid.integrate_values(diff * grid_values(p, grid))
-    )
+    risk_q, risk_p = _loss_integrals(f, l, _common_grid(p, q, order), q, p)
+    return abs(risk_q - risk_p)

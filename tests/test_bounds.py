@@ -100,6 +100,16 @@ class TestImprovedConstants:
         with pytest.raises(ValueError):
             improved_constants(5, 5, -1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "c_inf,c_r", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf), (1.0, math.nan), (300.0, 1.0)]
+    )
+    def test_non_finite_inputs_and_overflow_rejected(self, c_inf, c_r):
+        """Non-finite constants, and a C that overflows a float (c_inf = 300
+        puts e^{c_inf/2} xi in the exponent), raise instead of giving C = nan,
+        inf or an OverflowError."""
+        with pytest.raises(ValueError):
+            improved_constants(3, 3, c_inf, c_r)
+
 
 class TestInductionInequalities:
     """The three inequalities behind the constant-simplification lemma."""
@@ -257,6 +267,8 @@ class TestVCTerm:
             vc_generalization_term(5, 6, 0.2)
         with pytest.raises(ValueError):
             vc_generalization_term(100, 6, 1.5)
+        with pytest.raises(ValueError):  # 4/k * log(k) would be 0 * inf = nan
+            vc_generalization_term(math.inf, 3, 0.2)
 
 
 class TestTheorem2Certificate:

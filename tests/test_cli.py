@@ -14,9 +14,17 @@ from momentadapt.bounds import SECTION7, section7_values
 from momentadapt.cli import main
 
 
+def _non_standard_constant(name):
+    raise ValueError(f"{name} is not standard JSON")
+
+
 def run_cli(capsys, *argv):
+    """Run the CLI in process; JSON on stdout must be standard JSON, without
+    NaN or Infinity."""
     code = main(list(argv))
     captured = capsys.readouterr()
+    if captured.out.startswith(("{", "[")):
+        json.loads(captured.out, parse_constant=_non_standard_constant)
     return code, captured.out, captured.err
 
 
@@ -58,6 +66,14 @@ class TestFit:
         f.write_text("nan,0.1\n")
         code, _, _ = run_cli(capsys, "fit", str(f), "--m", "2", "--N", "1")
         assert code == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_rejected(self, tmp_path, capsys, tol):
+        f = tmp_path / "mom.csv"
+        f.write_text("0.0\n0.0\n")
+        code, out, err = run_cli(capsys, "fit", str(f), "--m", "2", "--N", "1", "--tol", tol)
+        assert code == 1
+        assert out == "" and "tolerance" in err
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
         f = tmp_path / "mom.csv"
@@ -178,6 +194,7 @@ class TestCertify:
             ("--source-risk", "nan"),
             ("--source-risk", "1.5"),
             ("--lambda-star", "-0.5"),
+            ("--k", "inf"),
         ],
     )
     def test_invalid_input_rejected(self, capsys, flag, value):
@@ -185,6 +202,28 @@ class TestCertify:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == "" and "error:" in err
+
+
+    @pytest.mark.parametrize(
+        "c_inf,c_r", [("nan", "1"), ("inf", "1"), ("1", "inf"), ("300", "1")]
+    )
+    def test_non_finite_or_overflowing_constants_rejected(self, capsys, c_inf, c_r):
+        code, out, err = run_cli(capsys, *self.FLAGS, "--c-inf", c_inf, "--c-r", c_r)
+        assert code == 1
+        assert out == "" and "error:" in err
+
+    @pytest.mark.parametrize(
+        "partial", [("--c-inf", "1.5"), ("--c-r", "2.0"), ("--r", "2")], ids=lambda a: a[0]
+    )
+    def test_partial_improved_constant_flags_rejected(self, capsys, partial):
+        """--c-inf and --c-r go together and --r needs both; a partial set
+        used to certify silently with the uniform constant."""
+        code, out, err = run_cli(capsys, *self.FLAGS, *partial)
+        assert code == 1
+        assert out == "" and "--c-inf and --c-r" in err
+        code, out, _ = run_cli(capsys, *self.FLAGS, "--r", "2", "--c-inf", "1.5", "--c-r", "2.0")
+        assert code == 0
+        assert json.loads(out)["constants"]["r"] == 2
 
 
 class TestDistance:
@@ -281,6 +320,13 @@ class TestExperiment:
         code, out, _ = run_cli(capsys, "experiment", "section7-repro")
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    def test_section7_rejects_trials(self, capsys):
+        """section7-repro has no trial count, so --trials is an error as it
+        is for levy-probe, not silently ignored."""
+        code, out, err = run_cli(capsys, "experiment", "section7-repro", "--trials", "5")
+        assert code == 1
+        assert out == "" and "bad parameters" in err
 
     def test_unknown_name(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "nope")

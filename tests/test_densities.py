@@ -33,7 +33,8 @@ from momentadapt.densities import (
     uniform_density,
 )
 from momentadapt.metrics import kl_divergence, l1_distance
-from momentadapt.quadrature import QuadGridND, gauss_rule
+from momentadapt import quadrature
+from momentadapt.quadrature import GridBudgetError, QuadGridND, gauss_rule
 
 
 def _scipy_truncnorm(mean, sigma):
@@ -93,6 +94,16 @@ class TestGridDensity:
         assert p.pdf(np.array([[0.5]])) == pytest.approx(
             _scipy_truncnorm(0.5, 0.01).pdf(0.5), rel=1e-9
         )
+
+    def test_axis_at_max_order_is_checked_at_half_order(self):
+        """An axis at MAX_ORDER cannot double, so it is checked against order
+        MAX_ORDER // 2; a peak that order 512 cannot resolve raises instead
+        of passing a check of the grid against itself."""
+        with pytest.raises(GridResolutionError, match="too narrow for MAX_ORDER"):
+            make_truncated_normal(0.5, 1e-3, order=512)
+        grid = QuadGridND((gauss_rule(8), gauss_rule(512)))
+        with pytest.raises(GridResolutionError, match="too narrow for MAX_ORDER"):
+            GridDensity(grid, raw=lambda x: np.exp(-(((x[:, 1] - 0.5) / 1e-3) ** 2)))
 
     def test_doubled_grid_check_is_per_axis(self):
         """The self-check doubles each axis's own order: a peak that only the
@@ -331,6 +342,15 @@ class TestSmoothness:
         ref = _scipy_truncnorm(0.5, 0.1)
         expected = max(abs(math.log(ref.pdf(0.5))), abs(math.log(ref.pdf(0.0))))
         assert sup_log_density(p) == pytest.approx(expected, rel=1e-3)
+
+    def test_sup_log_probe_mesh_within_node_budget(self, monkeypatch):
+        """The probe mesh of a multivariate grid density (101 uniform points
+        plus the rule's nodes per axis) is checked against MAX_NODES before
+        it is allocated: 105^2 = 11,025 points exceed a budget of 1,000."""
+        p = GridDensity(QuadGridND((gauss_rule(4),) * 2), raw=lambda x: 1.0 + x[:, 0] * x[:, 1])
+        monkeypatch.setattr(quadrature, "MAX_NODES", 1_000)
+        with pytest.raises(GridBudgetError):
+            sup_log_density(p)
 
     def test_narrow_truncnorm_fails_a2_at_m5(self):
         """sigma=0.05 peaks at log p ~ 2.08 > 0 but tails far below -4.5."""

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from momentadapt import maxent
 from momentadapt.basis import make_tensor_basis
 from momentadapt.densities import (
     ExpFamilyDensity,
     MomentVector,
+    _log_partition,
     entropy,
     make_truncated_normal,
     moments,
@@ -83,8 +85,25 @@ class TestFitMaxent:
     def test_invalid_inputs(self):
         basis = make_tensor_basis(2, 1)
         mu = MomentVector(basis=basis, values=np.zeros(2))
-        with pytest.raises(ValueError):
-            fit_maxent(mu, tol=0.0)
+        for tol in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                fit_maxent(mu, tol=tol)
+
+    def test_one_normalization_per_newton_step(self, monkeypatch):
+        """Each full Newton step normalizes its candidate once and reuses its
+        node values for the next gradient: 1 + iterations calls in all."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _log_partition(*args)
+
+        monkeypatch.setattr(maxent, "_log_partition", counted)
+        basis = make_tensor_basis(3, 1)
+        p = ExpFamilyDensity(basis=basis, lam=np.array([0.4, -0.3, 0.2]))
+        fit = fit_maxent(moments(p, basis))
+        assert fit.iterations >= 2
+        assert len(calls) == 1 + fit.iterations
 
 
 class TestProjectionFunctionals:
