@@ -101,7 +101,8 @@ class TestImprovedConstants:
             improved_constants(5, 5, -1.0, 1.0)
 
     @pytest.mark.parametrize(
-        "c_inf,c_r", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf), (1.0, math.nan), (300.0, 1.0)]
+        "c_inf,c_r",
+        [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf), (1.0, math.nan), (300.0, 1.0)],
     )
     def test_non_finite_inputs_and_overflow_rejected(self, c_inf, c_r):
         """Non-finite constants, and a C that overflows a float (c_inf = 300

@@ -203,7 +203,6 @@ class TestCertify:
         assert code == 1
         assert out == "" and "error:" in err
 
-
     @pytest.mark.parametrize(
         "c_inf,c_r", [("nan", "1"), ("inf", "1"), ("1", "inf"), ("300", "1")]
     )

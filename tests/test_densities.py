@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from momentadapt import quadrature
 from momentadapt.basis import make_tensor_basis
 from momentadapt.bounds import smoothness_membership
 from momentadapt.densities import (
@@ -33,7 +34,6 @@ from momentadapt.densities import (
     uniform_density,
 )
 from momentadapt.metrics import kl_divergence, l1_distance
-from momentadapt import quadrature
 from momentadapt.quadrature import GridBudgetError, QuadGridND, gauss_rule
 
 
