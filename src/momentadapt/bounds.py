@@ -122,18 +122,36 @@ class Condition:
     ok: bool
 
 
+# the input that drives each certificate entry past the float range
+_OVERFLOW_INPUT = {
+    "sample_size": "delta",
+    "vc_term": "k or delta",
+    "moment_term": "moment distance",
+    "sampling_term": "delta",
+    "epsilon_term": "epsilon",
+}
+
+
 @dataclass(frozen=True)
 class BoundCertificate:
     """Full evaluated bound: inputs, conditions and per-term breakdown.
 
     The total is derived, never stored: the plain sum of the terms, in
-    their order, when every condition holds and None otherwise.
+    their order, when every condition holds and None otherwise.  Every
+    required value and term is finite.
     """
 
     inputs: dict
     constants: dict
     conditions: tuple[Condition, ...]
     terms: dict
+
+    def __post_init__(self):
+        entries = [(c.name, c.required) for c in self.conditions] + list(self.terms.items())
+        for name, value in entries:
+            if not math.isfinite(value):
+                source = _OVERFLOW_INPUT.get(name, "an input")
+                raise ValueError(f"{name} overflows a float ({value}): {source} is out of range")
 
     @property
     def applicable(self) -> bool:
@@ -219,7 +237,10 @@ def minimal_sample_size(
     included.
     """
     c_val, _ = _constant(constants, m)
-    base = 4.0 * c_val**2 * (m + 1) ** 2 * m / delta
+    try:
+        base = 4.0 * c_val**2 * (m + 1) ** 2 * m / delta
+    except OverflowError:
+        raise ValueError(f"sample_size overflows a float: C = {c_val:.3e} is out of range") from None
     if sharper:
         if constants is None:
             raise ValueError("the sharper condition needs improved constants")

@@ -129,6 +129,7 @@ class GridDensity:
     ):
         self.grid = grid
         self._raw = raw
+        self._cdf_tables = [None] * grid.dim
         if values is None:
             if raw is None:
                 raise DensityError("need either node values or an evaluator")
@@ -247,6 +248,7 @@ class ExpFamilyDensity:
             )
         self._log_z.setflags(write=False)
         self._factor_node_vals.setflags(write=False)
+        self._cdf_tables = [None] * basis.dim
 
     @property
     def dim(self) -> int:
@@ -288,6 +290,7 @@ class ProductDensity:
             raise DensityError("factors must be one-dimensional")
         self.factors = factors
         self.grid = QuadGridND(rules=tuple(f.grid.rules[0] for f in factors))
+        self._cdf_tables = [None] * len(factors)
 
     @property
     def dim(self) -> int:
@@ -443,11 +446,39 @@ def trapezoid_cdf(
     return xs, cdf / cdf[-1]
 
 
+def _cdf_table(p: Density, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF table (points, CDF) of factor j of p, built on the first
+    draw and kept on p for later draws."""
+    table = p._cdf_tables[j]
+    if table is None:
+        table = trapezoid_cdf(lambda x: p.factor_pdf(j, x), CDF_TABLE_SIZE)
+        for arr in table:
+            arr.setflags(write=False)
+        p._cdf_tables[j] = table
+    return table
+
+
+def _interp_bucketed(u: np.ndarray, cdf: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """np.interp(u, cdf, xs), bit for bit, for uniforms u in [0, 1).
+
+    np.interp starts each table search at the cell of the previous point, and
+    the value at a point depends on that point alone.  So the uniforms are
+    interpolated in order of their 2^-16 bucket (a stable radix argsort of
+    16-bit keys), where each search ends next to where it starts, and the
+    values are scattered back to their rows.
+    """
+    order = np.argsort((u * 65536.0).astype(np.uint16), kind="stable")
+    out = np.empty_like(u)
+    out[order] = np.interp(u[order], cdf, xs)
+    return out
+
+
 def draw_sample(p: Density, k: int, seed: int) -> Sample:
     """Inverse-CDF sampling, per dimension, deterministic given the seed.
 
     Only product-form densities are supported: exponential-family members
-    (always products), 1-D densities and ProductDensity.
+    (always products), 1-D densities and ProductDensity.  k * N may not
+    exceed quadrature.MAX_NODES.
     """
     if k < 1:
         raise DensityError("sample size must be >= 1")
@@ -456,12 +487,16 @@ def draw_sample(p: Density, k: int, seed: int) -> Sample:
             "sampling requires a product-form density (expfam, 1-D, or "
             "product_density)"
         )
+    if k * p.dim > quadrature.MAX_NODES:  # read at call time, like check_budget
+        raise quadrature.GridBudgetError(
+            f"{k} x {p.dim} sample values exceed MAX_NODES = {quadrature.MAX_NODES}"
+        )
     u = np.random.default_rng(seed).random((k, p.dim))
-    cols = []
+    pts = np.empty_like(u)
     for j in range(p.dim):
-        xs, cdf = trapezoid_cdf(lambda x: p.factor_pdf(j, x), CDF_TABLE_SIZE)
-        cols.append(np.interp(u[:, j], cdf, xs))
-    return Sample(points=np.column_stack(cols), seed=seed)
+        xs, cdf = _cdf_table(p, j)
+        pts[:, j] = _interp_bucketed(u[:, j], cdf, xs)
+    return Sample(points=pts, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ class QuadratureError(ValueError):
 
 
 class GridBudgetError(QuadratureError):
-    """A tensor grid has more than MAX_NODES nodes."""
+    """A tensor grid, probe mesh or sample has more than MAX_NODES entries."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -204,6 +204,24 @@ class TestCertify:
         assert out == "" and "error:" in err
 
     @pytest.mark.parametrize(
+        "flags,source",
+        [
+            (("--delta", "1e-320"), "delta"),
+            (("--moment-distance", "1e308"), "moment distance"),
+            (("--epsilon", "1e308"), "epsilon"),
+            (("--k", "1e308"), "k or delta"),
+            (("--c-inf", "400", "--c-r", "0"), "C = "),
+        ],
+        ids=["delta", "moment-distance", "epsilon", "k", "constant"],
+    )
+    def test_overflowing_certificate_names_input(self, capsys, flags, source):
+        """A certificate entry beyond the float range exits 1 with an error
+        that names the input behind it."""
+        code, out, err = run_cli(capsys, *self.FLAGS, *flags)
+        assert (code, out) == (1, "")
+        assert "overflows" in err and source in err
+
+    @pytest.mark.parametrize(
         "c_inf,c_r", [("nan", "1"), ("inf", "1"), ("1", "inf"), ("300", "1")]
     )
     def test_non_finite_or_overflowing_constants_rejected(self, capsys, c_inf, c_r):
@@ -264,6 +282,18 @@ class TestDistance:
         )
         assert code == 0
         assert json.loads(out)["value"] > 0
+
+    def test_cmd_sample_over_budget(self, capsys, monkeypatch):
+        from momentadapt import quadrature
+
+        monkeypatch.setattr(quadrature, "MAX_NODES", 1_000)
+        code, out, err = run_cli(
+            capsys,
+            "distance", "--p", self.P, "--q", self.Q,
+            "--metric", "cmd", "--seed", "3", "--k", "1001",
+        )
+        assert (code, out) == (1, "")
+        assert "MAX_NODES" in err
 
     def test_unsupported_metric(self, capsys):
         with pytest.raises(SystemExit) as exc:

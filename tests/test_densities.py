@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from momentadapt import quadrature
+from momentadapt import densities, quadrature
 from momentadapt.basis import make_tensor_basis
 from momentadapt.bounds import smoothness_membership
 from momentadapt.densities import (
+    CDF_TABLE_SIZE,
     DensityError,
     ExpFamilyDensity,
     GridDensity,
@@ -21,6 +22,7 @@ from momentadapt.densities import (
     ProductDensity,
     Sample,
     _fd_derivative_values,
+    _interp_bucketed,
     _log_marginal,
     draw_sample,
     entropy,
@@ -31,6 +33,7 @@ from momentadapt.densities import (
     sample_moments,
     smoothness_report,
     sup_log_density,
+    trapezoid_cdf,
     uniform_density,
 )
 from momentadapt.metrics import kl_divergence, l1_distance
@@ -324,6 +327,77 @@ class TestSampling:
         )
         with pytest.raises(DensityError):
             draw_sample(corr, 10, 0)
+
+
+@st.composite
+def _sampled_density(draw):
+    """An exp-family member (m 2..4, N 1..3, small lambda), a narrow truncated
+    normal whose CDF table has runs of exactly 0.0 and 1.0, or its product
+    with the uniform density."""
+    kind = draw(st.sampled_from(["expfam", "truncnorm", "product"]))
+    if kind == "expfam":
+        m, dim = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+        lam = draw(st.lists(st.floats(-0.5, 0.5), min_size=m * dim, max_size=m * dim))
+        return ExpFamilyDensity(make_tensor_basis(m, dim), np.array(lam))
+    narrow = make_truncated_normal(draw(st.floats(0.05, 0.95)), 0.01, order=512)
+    return narrow if kind == "truncnorm" else product_density([narrow, uniform_density(1)])
+
+
+class TestSamplingBitIdentical:
+    """Bucket-ordered interpolation and the kept CDF tables leave every
+    sample bit for bit what plain np.interp on fresh tables gives."""
+
+    @staticmethod
+    def _reference(p, k, seed):
+        u = np.random.default_rng(seed).random((k, p.dim))
+        cols = []
+        for j in range(p.dim):
+            xs, cdf = trapezoid_cdf(lambda x: p.factor_pdf(j, x), CDF_TABLE_SIZE)
+            cols.append(np.interp(u[:, j], cdf, xs))
+        return np.column_stack(cols)
+
+    @settings(max_examples=50, deadline=None)
+    @given(p=_sampled_density(), k=st.integers(1, 20_000), seed=st.integers(0, 2**32 - 1))
+    def test_draw_matches_plain_interp(self, p, k, seed):
+        expected = self._reference(p, k, seed).tobytes()
+        assert draw_sample(p, k, seed).points.tobytes() == expected
+        assert draw_sample(p, k, seed).points.tobytes() == expected  # kept tables
+
+    def test_bucket_order_matches_interp(self):
+        """Edge uniforms: 0.0, CDF table entries (runs of 0.0 among them),
+        repeats, bucket edges i/2^16 and the largest double below 1."""
+        p = make_truncated_normal(0.5, 0.01, order=512)
+        xs, cdf = trapezoid_cdf(lambda x: p.factor_pdf(0, x), CDF_TABLE_SIZE)
+        u = np.concatenate(
+            [
+                [0.0, np.nextafter(1.0, 0.0)],
+                cdf[cdf < 1.0],
+                np.repeat([0.25, 0.5, 0.75], 4),
+                np.arange(65536) / 65536.0,
+            ]
+        )
+        np.random.default_rng(0).shuffle(u)
+        assert _interp_bucketed(u, cdf, xs).tobytes() == np.interp(u, cdf, xs).tobytes()
+
+    def test_cdf_table_built_once_per_factor(self, monkeypatch):
+        calls = []
+        build = densities.trapezoid_cdf
+        monkeypatch.setattr(
+            densities, "trapezoid_cdf", lambda *args: calls.append(1) or build(*args)
+        )
+        p = ExpFamilyDensity(make_tensor_basis(2, 2), np.array([0.5, -0.3, 0.2, 0.4]))
+        draw_sample(p, 100, 0)
+        draw_sample(p, 100, 1)
+        assert len(calls) == 2
+
+    def test_sample_size_within_node_budget(self, monkeypatch):
+        """k * N sample values are checked against MAX_NODES before the
+        uniforms are drawn."""
+        monkeypatch.setattr(quadrature, "MAX_NODES", 1_000)
+        with pytest.raises(GridBudgetError):
+            draw_sample(make_truncated_normal(0.5, 0.2), 1_001, 0)
+        pair = product_density([make_truncated_normal(0.5, 0.2), uniform_density(1)])
+        assert draw_sample(pair, 500, 0).points.shape == (500, 2)
 
 
 class TestSmoothness:
