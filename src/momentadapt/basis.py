@@ -61,26 +61,39 @@ class PolyBasis1D:
         return self.degree
 
     def eval_all(self, x) -> np.ndarray:
-        """Evaluate eta_0..eta_m at x; output shape = x.shape + (m+1,).
-
-        Uses the three-term recurrence on the shifted argument u = 2x-1,
-        which stays well conditioned for high degrees where the monomial
-        coefficients do not.
-        """
+        """Evaluate eta_0..eta_m at x; output shape = x.shape + (m+1,)."""
         x = np.asarray(x, dtype=float)
-        u = 2.0 * x - 1.0
         out = np.empty(x.shape + (self.degree + 1,))
-        p_prev = np.ones_like(u)
-        out[..., 0] = p_prev
-        if self.degree == 0:
-            return out
-        p_cur = u.copy()
-        out[..., 1] = math.sqrt(3.0) * p_cur
-        for n in range(1, self.degree):
-            p_next = ((2 * n + 1) * u * p_cur - n * p_prev) / (n + 1)
-            out[..., n + 1] = math.sqrt(2 * n + 3) * p_next
-            p_prev, p_cur = p_cur, p_next
+        self._eval_into(2.0 * x - 1.0, out)
         return out
+
+    def _eval_into(self, u, out: np.ndarray) -> None:
+        """Write eta_n at the points with shifted argument u = 2x-1 into
+        out[..., n] for n = 0..m; out may be any view of shape
+        u.shape + (m+1,), so callers choose where each eta_n lands.
+
+        Uses the three-term recurrence on u, which stays well conditioned
+        for high degrees where the monomial coefficients do not.  Apart
+        from out it allocates three arrays of u's shape.
+        """
+        out[..., 0] = 1.0
+        if self.degree == 0:
+            return
+        np.multiply(u, math.sqrt(3.0), out=out[..., 1])
+        if self.degree == 1:
+            return
+        p_prev = np.ones_like(u)
+        p_cur = np.array(u, dtype=float)
+        p_next = np.empty_like(p_cur)
+        for n in range(1, self.degree):
+            # p_next = ((2n+1) u p_cur - n p_prev) / (n+1), in place
+            np.multiply(u, 2 * n + 1, out=p_next)
+            p_next *= p_cur
+            p_prev *= n
+            p_next -= p_prev
+            p_next /= n + 1
+            np.multiply(p_next, math.sqrt(2 * n + 3), out=out[..., n + 1])
+            p_prev, p_cur, p_next = p_cur, p_next, p_prev
 
     def gram_matrix(self) -> np.ndarray:
         """Exact Gram matrix via integration of monomial products.

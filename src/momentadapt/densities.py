@@ -38,6 +38,10 @@ NORMALIZATION_TOL = 1e-9
 # grid so interpolation error stays below sampling noise.
 CDF_TABLE_SIZE = 8193
 
+# Sampling and sample moments stream the sample through blocks of this many
+# rows, so their working memory does not grow with the sample size k.
+BLOCK_ROWS = 8192
+
 # sup_log_density probes each coordinate on a uniform grid this many times
 # finer than its quadrature rule, plus the rule's nodes.
 SUP_LOG_REFINE = 10
@@ -94,7 +98,8 @@ class Sample:
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if not np.all((pts >= 0.0) & (pts <= 1.0)):
+        # min/max rather than a mask: no k-row temporary, and NaN fails both
+        if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):
             raise ValueError("sample points must lie in [0,1]^N")
         object.__setattr__(self, "points", pts)
         pts.setflags(write=False)
@@ -232,20 +237,30 @@ class ExpFamilyDensity:
             raise DensityError(
                 f"lambda must have length {basis.n_features}, got {lam.shape}"
             )
+        rule = gauss_rule(order)
+        feats = feature_table(rule, basis.m)  # (n, m)
+        m = basis.m
+        parts = [_log_partition(rule, feats, lam[j * m : (j + 1) * m]) for j in range(basis.dim)]
+        self._set_factors(basis, lam, rule, parts)
+
+    @classmethod
+    def _normalized(cls, basis: TensorBasis, lam: np.ndarray, rule: QuadRule1D, parts):
+        """The member with parameters lam whose per-dimension (log Z, factor
+        values at the nodes of rule) are already known, as _log_partition
+        returns them; nothing is normalized again."""
+        self = cls.__new__(cls)
+        self._set_factors(basis, lam, rule, parts)
+        return self
+
+    def _set_factors(self, basis, lam, rule, parts) -> None:
         self.basis = basis
         self.lam = lam
         self.lam.setflags(write=False)
-        rule = gauss_rule(order)
         self.grid = QuadGridND(rules=(rule,) * basis.dim)
-        feats = feature_table(rule, basis.m)  # (n, m)
-        self._log_z = np.empty(basis.dim)
         # factor densities at the rule nodes, kept so that moments, entropy
         # and KL never recompute the exponentials
-        self._factor_node_vals = np.empty((basis.dim, rule.order))
-        for j in range(basis.dim):
-            self._log_z[j], self._factor_node_vals[j] = _log_partition(
-                rule, feats, self.lam_dim(j)
-            )
+        self._log_z = np.array([log_z for log_z, _ in parts])
+        self._factor_node_vals = np.array([vals for _, vals in parts])
         self._log_z.setflags(write=False)
         self._factor_node_vals.setflags(write=False)
         self._cdf_tables = [None] * basis.dim
@@ -407,14 +422,43 @@ def moments(p: Density, basis: TensorBasis) -> MomentVector:
 
 
 def sample_moments(sample: Sample, basis: TensorBasis) -> MomentVector:
-    """(1/k) sum over the sample of the feature vector."""
+    """(1/k) sum over the sample of the feature vector.
+
+    The result is bit for bit basis.eval(sample.points).mean(axis=0), whose
+    summation order it keeps: numpy sums each column of that (k, m*N) table
+    sequentially from 0.0 when it has two or more columns, and pairwise
+    over all k rows when it has one.  With two or more features the sample
+    is streamed through blocks of BLOCK_ROWS = 8192 rows: the features of a
+    block are written one contiguous row per feature, the running column
+    sums are carried into each block's first entries and np.add.accumulate
+    continues them along the rows.  The working memory is then a few
+    arrays of BLOCK_ROWS rows, whatever k.  A single feature (m = N = 1) is
+    evaluated over the whole column and summed pairwise, as numpy does.
+    """
     if sample.k == 0:
         raise DensityError("empty sample")
     if basis.dim != sample.dim:
         raise DensityError("sample/basis dimension mismatch")
-    vals = basis.eval(sample.points)
-    vals = np.atleast_2d(vals)
-    return MomentVector(basis=basis, values=vals.mean(axis=0))
+    # the points were checked against the unit cube when the Sample was made
+    k, m, pts = sample.k, basis.m, sample.points
+    if basis.n_features == 1:
+        total = basis.per_dim.eval_all(pts[:, 0])[:, 1].sum()
+        return MomentVector(basis=basis, values=np.array([total]) / k)
+    sums = np.zeros((basis.dim, m))
+    rows = np.empty((m + 1, min(k, BLOCK_ROWS)))
+    u = np.empty(rows.shape[1])
+    for lo in range(0, k, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, k)
+        block, ub = rows[:, : hi - lo], u[: hi - lo]
+        for j in range(basis.dim):
+            np.multiply(pts[lo:hi, j], 2.0, out=ub)
+            ub -= 1.0
+            basis.per_dim._eval_into(ub, block.T)
+            feats = block[1:]
+            feats[:, 0] += sums[j]
+            np.add.accumulate(feats, axis=1, out=feats)
+            sums[j] = feats[:, -1]
+    return MomentVector(basis=basis, values=sums.ravel() / k)
 
 
 def _xlogx(vals: np.ndarray) -> np.ndarray:
@@ -479,6 +523,14 @@ def draw_sample(p: Density, k: int, seed: int) -> Sample:
     Only product-form densities are supported: exponential-family members
     (always products), 1-D densities and ProductDensity.  k * N may not
     exceed quadrature.MAX_NODES.
+
+    The (k, N) result is allocated once and filled in blocks of
+    BLOCK_ROWS = 8192 rows: each block draws its uniforms with
+    rng.random((rows, N)), which continues the PCG64 stream exactly as one
+    rng.random((k, N)) call would, and interpolates them column by column.
+    Each value depends on its own uniform alone, so the sample is bit for
+    bit the one drawn whole, and the working memory besides the result is
+    a few arrays of BLOCK_ROWS rows, whatever k.
     """
     if k < 1:
         raise DensityError("sample size must be >= 1")
@@ -491,11 +543,13 @@ def draw_sample(p: Density, k: int, seed: int) -> Sample:
         raise quadrature.GridBudgetError(
             f"{k} x {p.dim} sample values exceed MAX_NODES = {quadrature.MAX_NODES}"
         )
-    u = np.random.default_rng(seed).random((k, p.dim))
-    pts = np.empty_like(u)
-    for j in range(p.dim):
-        xs, cdf = _cdf_table(p, j)
-        pts[:, j] = _interp_bucketed(u[:, j], cdf, xs)
+    rng = np.random.default_rng(seed)
+    tables = [_cdf_table(p, j) for j in range(p.dim)]
+    pts = np.empty((k, p.dim))
+    for lo in range(0, k, BLOCK_ROWS):
+        u = rng.random((min(BLOCK_ROWS, k - lo), p.dim))
+        for j, (xs, cdf) in enumerate(tables):
+            pts[lo : lo + len(u), j] = _interp_bucketed(u[:, j], cdf, xs)
     return Sample(points=pts, seed=seed)
 
 

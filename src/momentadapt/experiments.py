@@ -333,6 +333,15 @@ def sample_concentration(
     """
     if not isinstance(p, ExpFamilyDensity):
         raise ValueError("concentration experiment needs an exponential-family p")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    # the decay slope is fitted through the per-size medians
+    if len(set(k_grid)) < 2 or min(k_grid) < 1:
+        raise ValueError(
+            f"k_grid needs at least two distinct sample sizes >= 1, got {list(k_grid)}"
+        )
     basis = p.basis
     m = basis.m
     report = smoothness_report(p, m)

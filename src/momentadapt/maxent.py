@@ -27,7 +27,7 @@ from .densities import (
     entropy,
     moments,
 )
-from .quadrature import gauss_rule
+from .quadrature import QuadRule1D, gauss_rule
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
@@ -64,29 +64,30 @@ class FitResult:
 
 
 def _fit_1d(
-    mu: np.ndarray, basis: TensorBasis, tol: float, max_iter: int, order: int
-) -> tuple[np.ndarray, int, float, float]:
-    """Damped Newton on the 1-D dual; returns (lam, iters, residual, Gamma)."""
-    rule = gauss_rule(order)
+    mu: np.ndarray, basis: TensorBasis, tol: float, max_iter: int, rule: QuadRule1D
+) -> tuple[np.ndarray, int, float, float, tuple[float, np.ndarray]]:
+    """Damped Newton on the 1-D dual; returns (lam, iters, residual, Gamma,
+    part), where part is _log_partition at lam: log Z and the normalized
+    density at the rule's nodes."""
     feats = feature_table(rule, basis.m)  # (n, m)
 
-    def gamma(lam: np.ndarray) -> tuple[float, np.ndarray]:
-        """Gamma(lam) and the normalized density at the rule's nodes."""
-        log_z, pv = _log_partition(rule, feats, lam)
-        return float(np.dot(lam, mu)) + log_z, pv
+    def gamma(lam: np.ndarray) -> tuple[float, tuple[float, np.ndarray]]:
+        """Gamma(lam) and _log_partition at lam."""
+        part = _log_partition(rule, feats, lam)
+        return float(np.dot(lam, mu)) + part[0], part
 
     lam = np.zeros(len(mu))  # uniform start; the dual is globally convex
-    g_val, pv = gamma(lam)
+    g_val, part = gamma(lam)
     iters = 0
     stall = 0
     residual = np.inf
     for iters in range(1, max_iter + 1):
-        w = rule.weights * pv
+        w = rule.weights * part[1]
         expect = feats.T @ w
         grad = mu - expect
         residual = float(np.max(np.abs(grad)))
         if residual <= tol:
-            return lam, iters - 1, residual, g_val
+            return lam, iters - 1, residual, g_val, part
         hess = feats.T @ (feats * w[:, None]) - np.outer(expect, expect)
         # covariance of linearly independent features: must stay SPD
         try:
@@ -107,12 +108,12 @@ def _fit_1d(
         accept_tol = 1e-14 * max(1.0, abs(g_val))
         while t > 1e-12:
             cand = lam - t * step
-            c_val, c_pv = gamma(cand)
+            c_val, c_part = gamma(cand)
             if c_val < g_val + accept_tol:
                 break
             t *= 0.5
         else:
-            cand, c_val, c_pv = lam, g_val, pv
+            cand, c_val, c_part = lam, g_val, part
         if c_val >= g_val - 1e-15 and residual > 1e-6:
             stall += 1
             if stall >= 3:
@@ -121,7 +122,7 @@ def _fit_1d(
                 )
         else:
             stall = 0
-        lam, g_val, pv = cand, c_val, c_pv
+        lam, g_val, part = cand, c_val, c_part
     raise MaxIterationsError(residual, max_iter)
 
 
@@ -134,25 +135,30 @@ def fit_maxent(
     """Fit the maximum-entropy density with the given feature moments.
 
     Each dimension is fitted independently; the result is the product
-    density, with the moment residual guaranteed below tol in sup norm.
+    density, with the moment residual guaranteed below tol in sup norm.  It
+    keeps the log Z and node values of each dimension's last Newton step
+    rather than normalizing again.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     basis = mu.basis
     m = basis.m
+    rule = gauss_rule(order)
     lam = np.empty(basis.n_features)
+    parts = []
     iters = 0
     residual = 0.0
     dual = 0.0
     for j in range(basis.dim):
-        lam_j, it_j, res_j, dual_j = _fit_1d(
-            mu.per_dim(j), basis, tol, max_iter, order
+        lam_j, it_j, res_j, dual_j, part_j = _fit_1d(
+            mu.per_dim(j), basis, tol, max_iter, rule
         )
         lam[j * m : (j + 1) * m] = lam_j
+        parts.append(part_j)
         iters = max(iters, it_j)
         residual = max(residual, res_j)
         dual += dual_j
-    density = ExpFamilyDensity(basis=basis, lam=lam, order=order)
+    density = ExpFamilyDensity._normalized(basis, lam, rule, parts)
     return FitResult(density=density, iterations=iters, residual=residual, dual_value=dual)
 
 

@@ -84,6 +84,39 @@ class TestLegendreBasis:
         np.testing.assert_allclose(np.array(loaded), basis.coeffs)
 
 
+def _plain_recurrence(m, x):
+    """eta_0..eta_m at x by the three-term recurrence with a fresh array per
+    operation, stacked on a last axis."""
+    u = 2.0 * np.asarray(x, dtype=float) - 1.0
+    out = np.empty(u.shape + (m + 1,))
+    p_prev, p_cur = np.ones_like(u), u.copy()
+    out[..., 0] = p_prev
+    out[..., 1] = math.sqrt(3.0) * p_cur
+    for n in range(1, m):
+        p_next = ((2 * n + 1) * u * p_cur - n * p_prev) / (n + 1)
+        out[..., n + 1] = math.sqrt(2 * n + 3) * p_next
+        p_prev, p_cur = p_cur, p_next
+    return out
+
+
+class TestEvalAll:
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 12, 30])
+    @pytest.mark.parametrize("shape", [(), (1,), (257,), (40, 3), (4, 2, 3)])
+    def test_bits_and_layout_of_plain_recurrence(self, m, shape):
+        """eval_all writes the recurrence in place and keeps the bits and
+        the C-contiguous x.shape + (m+1,) layout that matmuls downstream
+        depend on."""
+        x = np.random.default_rng(m).random(shape)
+        got, ref = build_legendre_basis(m).eval_all(x), _plain_recurrence(m, x)
+        assert got.shape == ref.shape and got.flags.c_contiguous
+        assert got.tobytes() == ref.tobytes()
+
+    def test_endpoints_and_centre_bit_for_bit(self):
+        x = np.array([0.0, 0.5, 1.0, 0.25, np.nextafter(1.0, 0.0)])
+        basis = build_legendre_basis(7)
+        assert basis.eval_all(x).tobytes() == _plain_recurrence(7, x).tobytes()
+
+
 class TestFeatureTable:
     def test_equals_eval_all_bit_for_bit(self):
         for order, m in ((16, 1), (128, 3), (512, 8)):

@@ -357,6 +357,14 @@ class TestExperiment:
         assert code == 1
         assert out == "" and "bad parameters" in err
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_concentration_rejects_non_positive_trials(self, capsys, trials):
+        code, out, err = run_cli(
+            capsys, "experiment", "sample-concentration", "--trials", trials
+        )
+        assert code == 1
+        assert out == "" and err.startswith("error: trials must be at least 1")
+
     def test_unknown_name(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "nope")
         assert code == 1

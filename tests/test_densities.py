@@ -2,10 +2,11 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -13,6 +14,7 @@ from momentadapt import densities, quadrature
 from momentadapt.basis import make_tensor_basis
 from momentadapt.bounds import smoothness_membership
 from momentadapt.densities import (
+    BLOCK_ROWS,
     CDF_TABLE_SIZE,
     DensityError,
     ExpFamilyDensity,
@@ -357,8 +359,20 @@ class TestSamplingBitIdentical:
         return np.column_stack(cols)
 
     @settings(max_examples=50, deadline=None)
-    @given(p=_sampled_density(), k=st.integers(1, 20_000), seed=st.integers(0, 2**32 - 1))
+    @given(
+        p=_sampled_density(),
+        k=st.integers(1, 3 * BLOCK_ROWS + 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(p=make_truncated_normal(0.3, 0.2), k=2 * BLOCK_ROWS + 1, seed=5)
+    @example(
+        p=ExpFamilyDensity(make_tensor_basis(2, 2), np.array([0.5, -0.3, 0.2, 0.4])),
+        k=3 * BLOCK_ROWS,
+        seed=0,
+    )
     def test_draw_matches_plain_interp(self, p, k, seed):
+        """Blocks of BLOCK_ROWS rows continue one PCG64 stream: the sample is
+        the one whose uniforms come from a single rng.random((k, N)) call."""
         expected = self._reference(p, k, seed).tobytes()
         assert draw_sample(p, k, seed).points.tobytes() == expected
         assert draw_sample(p, k, seed).points.tobytes() == expected  # kept tables
@@ -398,6 +412,74 @@ class TestSamplingBitIdentical:
             draw_sample(make_truncated_normal(0.5, 0.2), 1_001, 0)
         pair = product_density([make_truncated_normal(0.5, 0.2), uniform_density(1)])
         assert draw_sample(pair, 500, 0).points.shape == (500, 2)
+
+
+_BLOCK_EDGES = [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7]
+
+
+class TestBlockedSampleMoments:
+    """sample_moments streams the sample through row blocks and keeps the
+    bits of the whole-table mean it replaces."""
+
+    @staticmethod
+    def _assert_whole_table_mean(basis, pts):
+        expected = basis.eval(pts).mean(axis=0).tobytes()
+        assert sample_moments(Sample(points=pts), basis).values.tobytes() == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        dim=st.integers(1, 3),
+        k=st.one_of(st.sampled_from(_BLOCK_EDGES), st.integers(1, 3 * BLOCK_ROWS + 7)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_whole_table_mean(self, m, dim, k, seed):
+        pts = np.random.default_rng(seed).random((k, dim))
+        pts[0, 0] = 0.0
+        pts[-1, -1] = 1.0
+        self._assert_whole_table_mean(make_tensor_basis(m, dim), pts)
+
+    @pytest.mark.parametrize("m, dim", [(1, 1), (1, 2), (2, 1), (5, 3)])
+    @pytest.mark.parametrize("k", _BLOCK_EDGES)
+    def test_block_edges(self, m, dim, k):
+        """Each size at and around a block boundary, for the single feature
+        (summed pairwise) and for two or more (summed in sequence)."""
+        pts = np.random.default_rng(k).random((k, dim))
+        self._assert_whole_table_mean(make_tensor_basis(m, dim), pts)
+
+    @pytest.mark.parametrize("k", [1, BLOCK_ROWS + 1])
+    def test_negative_zero_features(self, k):
+        """eta_3(0.5) is -0.0; numpy's column sums start from +0.0, and so
+        do the carried block sums."""
+        self._assert_whole_table_mean(make_tensor_basis(3, 2), np.full((k, 2), 0.5))
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedMemory:
+    """The working memory of sampling and sample moments does not grow with
+    the sample size."""
+
+    K = 200_000
+
+    def test_sample_moments_peak(self):
+        basis = make_tensor_basis(5, 2)
+        sample = Sample(points=np.random.default_rng(0).random((self.K, 2)))
+        assert _traced_peak(lambda: sample_moments(sample, basis)) < 2**20
+
+    def test_draw_sample_peak(self):
+        p = ExpFamilyDensity(make_tensor_basis(3, 2), np.array([0.2, -0.1, 0.05, 0.3, 0.1, -0.2]))
+        draw_sample(p, 10, 0)  # builds and keeps the CDF tables
+        output = self.K * 2 * 8
+        assert _traced_peak(lambda: draw_sample(p, self.K, 1)) < output + 2**20
 
 
 class TestSmoothness:

@@ -77,6 +77,27 @@ class TestSampleConcentration:
         medians = [row["median_kl"] for row in record.rows]
         assert medians[0] > medians[1]
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"trials": 0}, "trials"),
+            ({"trials": -2}, "trials"),
+            ({"delta": 0.0}, "delta"),
+            ({"delta": 1.0}, "delta"),
+            ({"delta": 1.5}, "delta"),
+            ({"delta": float("nan")}, "delta"),
+            ({"k_grid": ()}, "k_grid"),
+            ({"k_grid": (100,)}, "k_grid"),
+            ({"k_grid": (100, 100)}, "k_grid"),
+            ({"k_grid": (0, 100)}, "k_grid"),
+        ],
+    )
+    def test_invalid_parameters_name_input(self, p, kwargs, name):
+        """No ZeroDivisionError, math domain error or one-point slope fit:
+        every invalid parameter is a ValueError naming it."""
+        with pytest.raises(ValueError, match=name):
+            sample_concentration(p, **{"k_grid": (10, 20), "trials": 1, **kwargs})
+
 
 class TestSection7Repro:
     def test_passes(self):

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from momentadapt import maxent
+from momentadapt import densities, maxent
 from momentadapt.basis import make_tensor_basis
 from momentadapt.densities import (
     ExpFamilyDensity,
@@ -104,6 +106,41 @@ class TestFitMaxent:
         fit = fit_maxent(moments(p, basis))
         assert fit.iterations >= 2
         assert len(calls) == 1 + fit.iterations
+
+    def test_fitted_density_not_normalized_again(self, monkeypatch):
+        """The fit keeps the log Z and node values of each dimension's last
+        Newton step: building its density adds no normalization."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _log_partition(*args)
+
+        monkeypatch.setattr(densities, "_log_partition", counted)
+        basis = make_tensor_basis(3, 2)
+        p = ExpFamilyDensity(basis=basis, lam=np.array([0.4, -0.3, 0.2, -0.1, 0.25, 0.05]))
+        calls.clear()
+        fit_maxent(moments(p, basis))
+        assert calls == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        m=st.integers(1, 4),
+        dim=st.integers(1, 3),
+        data=st.data(),
+        order=st.sampled_from([64, 128]),
+    )
+    def test_fitted_density_bits_match_fresh_construction(self, m, dim, data, order):
+        """lambda, log_norm and the node values of the fit are bit for bit
+        those of ExpFamilyDensity built from the fitted lambda."""
+        basis = make_tensor_basis(m, dim)
+        lam = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=m * dim, max_size=m * dim))
+        fit = fit_maxent(moments(ExpFamilyDensity(basis, np.array(lam)), basis), order=order)
+        fresh = ExpFamilyDensity(basis, fit.density.lam.copy(), order=order)
+        assert fit.density.grid == fresh.grid
+        assert fit.density.log_norm.tobytes() == fresh.log_norm.tobytes()
+        for j in range(dim):
+            assert fit.density.marginal_values(j).tobytes() == fresh.marginal_values(j).tobytes()
 
 
 class TestProjectionFunctionals:
