@@ -38,6 +38,9 @@ NORMALIZATION_TOL = 1e-9
 # grid so interpolation error stays below sampling noise.
 CDF_TABLE_SIZE = 8193
 
+# Inverse-CDF guide entries; a power of two, so u's bucket is floor(u * GUIDE_SIZE).
+GUIDE_SIZE = 8192
+
 # Sampling and sample moments stream the sample through blocks of this many
 # rows, so their working memory does not grow with the sample size k.
 BLOCK_ROWS = 8192
@@ -214,13 +217,16 @@ def _product_pdf(p: "Density", x) -> np.ndarray:
 
 def _log_partition(
     rule: QuadRule1D, feats: np.ndarray, lam: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """log Z of the 1-D factor exp(-<lam, eta>) on rule, whose feature table
-    is feats, and the normalized factor at the rule's nodes."""
-    expo = -feats @ lam
-    shift = float(np.max(expo))
-    log_z = shift + math.log(rule.integrate_values(np.exp(expo - shift)))
-    return log_z, np.exp(expo - log_z)
+) -> tuple[np.ndarray, np.ndarray]:
+    """log Z of the 1-D factors exp(-<lam_b, eta>), one per row lam_b of
+    lam (B, m), on rule, whose feature table is feats; and the normalized
+    factors at the rule's nodes, (B, n).  The products are stacked matmuls,
+    one BLAS call per row, so each row is bit for bit what it gives alone."""
+    expo = -(feats @ lam[:, :, None])[:, :, 0]
+    shift = expo.max(axis=1)
+    sums = (rule.weights @ np.exp(expo - shift[:, None])[:, :, None])[:, 0]
+    log_z = shift + np.array([math.log(z) for z in sums.tolist()])
+    return log_z, np.exp(expo - log_z[:, None])
 
 
 class ExpFamilyDensity:
@@ -239,28 +245,27 @@ class ExpFamilyDensity:
             )
         rule = gauss_rule(order)
         feats = feature_table(rule, basis.m)  # (n, m)
-        m = basis.m
-        parts = [_log_partition(rule, feats, lam[j * m : (j + 1) * m]) for j in range(basis.dim)]
-        self._set_factors(basis, lam, rule, parts)
+        log_z, vals = _log_partition(rule, feats, lam.reshape(basis.dim, basis.m))
+        self._set_factors(basis, lam, rule, log_z, vals)
 
     @classmethod
-    def _normalized(cls, basis: TensorBasis, lam: np.ndarray, rule: QuadRule1D, parts):
-        """The member with parameters lam whose per-dimension (log Z, factor
-        values at the nodes of rule) are already known, as _log_partition
+    def _normalized(cls, basis: TensorBasis, lam: np.ndarray, rule: QuadRule1D, log_z, vals):
+        """The member with parameters lam whose per-dimension log Z and factor
+        values at the nodes of rule are already known, as _log_partition
         returns them; nothing is normalized again."""
         self = cls.__new__(cls)
-        self._set_factors(basis, lam, rule, parts)
+        self._set_factors(basis, lam, rule, log_z, vals)
         return self
 
-    def _set_factors(self, basis, lam, rule, parts) -> None:
+    def _set_factors(self, basis, lam, rule, log_z, vals) -> None:
         self.basis = basis
         self.lam = lam
         self.lam.setflags(write=False)
         self.grid = QuadGridND(rules=(rule,) * basis.dim)
         # factor densities at the rule nodes, kept so that moments, entropy
         # and KL never recompute the exponentials
-        self._log_z = np.array([log_z for log_z, _ in parts])
-        self._factor_node_vals = np.array([vals for _, vals in parts])
+        self._log_z = log_z
+        self._factor_node_vals = vals
         self._log_z.setflags(write=False)
         self._factor_node_vals.setflags(write=False)
         self._cdf_tables = [None] * basis.dim
@@ -490,30 +495,39 @@ def trapezoid_cdf(
     return xs, cdf / cdf[-1]
 
 
-def _cdf_table(p: Density, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-CDF table (points, CDF) of factor j of p, built on the first
-    draw and kept on p for later draws."""
+def _cdf_table(p: Density, j: int) -> tuple[np.ndarray, ...]:
+    """Inverse-CDF table (points, CDF, cell slopes, cell guide) of factor j
+    of p, built on the first draw and kept on p for later draws."""
     table = p._cdf_tables[j]
     if table is None:
-        table = trapezoid_cdf(lambda x: p.factor_pdf(j, x), CDF_TABLE_SIZE)
+        xs, cdf = trapezoid_cdf(lambda x: p.factor_pdf(j, x), CDF_TABLE_SIZE)
+        with np.errstate(divide="ignore", over="ignore"):  # see _inverse_cdf
+            slope = np.diff(xs) / np.diff(cdf)
+        # guide[b] + 1 counts the j with cdf[j] <= b/G, that is ceil(cdf[j] * G) <= b
+        ceil = np.ceil(cdf * GUIDE_SIZE).astype(np.intp)
+        guide = np.cumsum(np.bincount(ceil, minlength=GUIDE_SIZE + 1))[:GUIDE_SIZE] - 1
+        table = (xs, cdf, slope, guide)
         for arr in table:
             arr.setflags(write=False)
         p._cdf_tables[j] = table
     return table
 
 
-def _interp_bucketed(u: np.ndarray, cdf: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _inverse_cdf(u: np.ndarray, table: tuple[np.ndarray, ...]) -> np.ndarray:
     """np.interp(u, cdf, xs), bit for bit, for uniforms u in [0, 1).
 
-    np.interp starts each table search at the cell of the previous point, and
-    the value at a point depends on that point alone.  So the uniforms are
-    interpolated in order of their 2^-16 bucket (a stable radix argsort of
-    16-bit keys), where each search ends next to where it starts, and the
-    values are scattered back to their rows.
-    """
-    order = np.argsort((u * 65536.0).astype(np.uint16), kind="stable")
-    out = np.empty_like(u)
-    out[order] = np.interp(u[order], cdf, xs)
+    Guide entry b, the last cell j with cdf[j] <= b/GUIDE_SIZE, is at or one
+    before the cell of most u in bucket b.  The rest, and the u where the
+    formula slope[j] * (u - cdf[j]) + xs[j] gives inf * 0 = nan in a cell
+    too narrow for a finite slope, go to np.interp."""
+    xs, cdf, slope, guide = table
+    upper = cdf[1:]  # right ends of the cells
+    j = guide[(u * GUIDE_SIZE).astype(np.intp)]
+    j += upper[j] <= u
+    with np.errstate(invalid="ignore"):
+        out = slope[j] * (u - cdf[j]) + xs[j]
+    slow = np.flatnonzero((upper[j] <= u) | np.isnan(out))
+    out[slow] = np.interp(u[slow], cdf, xs)
     return out
 
 
@@ -548,8 +562,8 @@ def draw_sample(p: Density, k: int, seed: int) -> Sample:
     pts = np.empty((k, p.dim))
     for lo in range(0, k, BLOCK_ROWS):
         u = rng.random((min(BLOCK_ROWS, k - lo), p.dim))
-        for j, (xs, cdf) in enumerate(tables):
-            pts[lo : lo + len(u), j] = _interp_bucketed(u[:, j], cdf, xs)
+        for j, table in enumerate(tables):
+            pts[lo : lo + len(u), j] = _inverse_cdf(u[:, j], table)
     return Sample(points=pts, seed=seed)
 
 

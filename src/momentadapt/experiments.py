@@ -42,7 +42,7 @@ from .densities import (
     sample_moments,
     smoothness_report,
 )
-from .maxent import InfeasibleMomentsError, epsilon_gap, fit_maxent
+from .maxent import InfeasibleMomentsError, _fit_rows, epsilon_gap
 from .metrics import (
     Classifier,
     Labeling,
@@ -54,6 +54,7 @@ from .metrics import (
     risk,
     tabulate_cdf,
 )
+from .quadrature import gauss_rule
 
 # Stride between derived per-trial seeds; any large prime keeps the
 # substreams of distinct trials distinct for every base seed.
@@ -344,31 +345,31 @@ def sample_concentration(
         )
     basis = p.basis
     m = basis.m
+    if basis.dim != 1:
+        raise ValueError(f"the concentration bound has no N: p needs N = 1, got N = {basis.dim}")
     report = smoothness_report(p, m)
     consts = improved_constants(m, m, max(report.c_inf, 1e-12), float(np.max(report.c_r)))
+    # draw every (k, trial) sample, keep only its moments, and fit them all at once
+    sizes = [k for k in k_grid for _ in range(trials)]
+    draws = (draw_sample(p, k, seed + SEED_STRIDE * (c + 1)) for c, k in enumerate(sizes))
+    rule = gauss_rule(128)  # fit_maxent's default order
+    lam, _, _, _, log_z, vals, errors = _fit_rows(
+        np.array([sample_moments(s, basis).values for s in draws]), rule
+    )
     rows = []
     medians = []
     infeasible_total = 0
-    counter = 0
-    for k in k_grid:
+    for i, k in enumerate(k_grid):
         bound = consts.C * math.exp(-consts.c_inf) * m / (k * delta)
         dists = []
-        violations = 0
-        infeasible = 0
-        for t in range(trials):
-            counter += 1
-            trial_seed = seed + SEED_STRIDE * counter
-            sample = draw_sample(p, k, trial_seed)
-            mu_hat = sample_moments(sample, basis)
-            try:
-                fit = fit_maxent(mu_hat)
-            except InfeasibleMomentsError:
-                infeasible += 1
-                continue
-            d = kl_expfam_closed_form(p, fit.density)
-            dists.append(d)
-            if d > bound:
-                violations += 1
+        for r in range(i * trials, (i + 1) * trials):
+            if errors[r] is None:
+                q = ExpFamilyDensity._normalized(basis, lam[r], rule, log_z[r, None], vals[r, None])
+                dists.append(kl_expfam_closed_form(p, q))
+            elif not isinstance(errors[r], InfeasibleMomentsError):
+                raise errors[r]
+        infeasible = trials - len(dists)
+        violations = sum(d > bound for d in dists)
         infeasible_total += infeasible
         med = float(np.median(dists)) if dists else math.nan
         medians.append(med)

@@ -13,6 +13,7 @@ exactly into N independent m-dimensional problems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,67 +64,87 @@ class FitResult:
         }
 
 
-def _fit_1d(
-    mu: np.ndarray, basis: TensorBasis, tol: float, max_iter: int, rule: QuadRule1D
-) -> tuple[np.ndarray, int, float, float, tuple[float, np.ndarray]]:
-    """Damped Newton on the 1-D dual; returns (lam, iters, residual, Gamma,
-    part), where part is _log_partition at lam: log Z and the normalized
-    density at the rule's nodes."""
-    feats = feature_table(rule, basis.m)  # (n, m)
+def _condition_numbers(hess: np.ndarray) -> list[float]:
+    """2-norm condition numbers of a stack of symmetric matrices: max|eig| /
+    min|eig| from one eigvalsh, no SVD; inf for a singular matrix."""
+    mags = [[abs(e) for e in eig] for eig in np.linalg.eigvalsh(hess).tolist()]
+    return [max(a) / min(a) if min(a) > 0 else math.inf for a in mags]
 
-    def gamma(lam: np.ndarray) -> tuple[float, tuple[float, np.ndarray]]:
-        """Gamma(lam) and _log_partition at lam."""
-        part = _log_partition(rule, feats, lam)
-        return float(np.dot(lam, mu)) + part[0], part
 
-    lam = np.zeros(len(mu))  # uniform start; the dual is globally convex
-    g_val, part = gamma(lam)
-    iters = 0
-    stall = 0
-    residual = np.inf
-    for iters in range(1, max_iter + 1):
-        w = rule.weights * part[1]
-        expect = feats.T @ w
+def _fit_rows(mu: np.ndarray, rule: QuadRule1D, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """Damped Newton on the 1-D dual of every row of mu (B, m) at once.
+
+    Returns per row lam (B, m), iterations, residual, Gamma, log Z and the
+    normalized factor at the rule's nodes (B, n) of its last step, and the
+    error that ended it (None if it converged).  Stacked matmuls and solves
+    make one BLAS or LAPACK call per row, so each row is bit for bit its fit
+    alone; it converges, backtracks, stalls or fails on its own.
+    """
+    b_rows, m = mu.shape
+    feats = feature_table(rule, m)  # (n, m)
+    lam = np.zeros((b_rows, m))  # uniform start; the dual is globally convex
+    log_z, vals = _log_partition(rule, feats, lam)
+    g_val = log_z.tolist()  # Gamma(0) = log Z(0)
+    iters, stall, errors = np.zeros(b_rows, dtype=int), [0] * b_rows, [None] * b_rows
+    live = list(range(b_rows))
+    for it in range(max_iter):
+        w = rule.weights * vals
+        expect = (feats.T @ w[:, :, None])[:, :, 0]
         grad = mu - expect
-        residual = float(np.max(np.abs(grad)))
-        if residual <= tol:
-            return lam, iters - 1, residual, g_val, part
-        hess = feats.T @ (feats * w[:, None]) - np.outer(expect, expect)
+        residual = np.abs(grad).max(axis=1).tolist()
+        iters[live] = it
+        live = [r for r in live if not residual[r] <= tol]
+        if not live:
+            break
+        hess = feats.T @ (feats * w[:, :, None]) - expect[:, :, None] * expect[:, None, :]
         # covariance of linearly independent features: must stay SPD
-        try:
-            cond = np.linalg.cond(hess)
-            if not np.isfinite(cond) or cond > HESSIAN_COND_LIMIT:
-                raise InfeasibleMomentsError(
-                    f"dual Hessian condition number {cond:.2e} exceeds "
+        cond = _condition_numbers(hess)
+        for r in live:
+            if not cond[r] <= HESSIAN_COND_LIMIT:
+                errors[r] = InfeasibleMomentsError(
+                    f"dual Hessian condition number {cond[r]:.2e} exceeds "
                     f"{HESSIAN_COND_LIMIT:.0e}: moments at or beyond the "
                     "boundary of the moment space"
                 )
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError as exc:
-            raise InfeasibleMomentsError("singular dual Hessian") from exc
+        live = [r for r in live if errors[r] is None]
+        if not live:
+            break
+        if len(live) < b_rows:  # frozen rows take no step
+            hess[np.isin(np.arange(b_rows), live, invert=True)] = np.eye(m)
+        step = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
         # backtracking: halve until Gamma decreases; near the optimum the
         # decrease (~residual^2) drops below float resolution, so accept
-        # steps that change Gamma by less than rounding
-        t = 1.0
-        accept_tol = 1e-14 * max(1.0, abs(g_val))
-        while t > 1e-12:
+        # steps that change Gamma by less than rounding; a row that never
+        # decreases Gamma stays where it is
+        old = list(g_val)
+        bar = [g + 1e-14 * max(1.0, abs(g)) for g in old]
+        t, trying = 1.0, live
+        while t > 1e-12 and trying:
             cand = lam - t * step
-            c_val, c_part = gamma(cand)
-            if c_val < g_val + accept_tol:
+            c_log_z, c_vals = _log_partition(rule, feats, cand)
+            c_val = ((cand[:, None, :] @ mu[:, :, None])[:, 0, 0] + c_log_z).tolist()
+            ok = [r for r in trying if c_val[r] < bar[r]]
+            if len(ok) == b_rows:
+                lam, g_val, log_z, vals = cand, c_val, c_log_z, c_vals
                 break
+            if ok:
+                lam[ok], log_z[ok], vals[ok] = cand[ok], c_log_z[ok], c_vals[ok]
+                for r in ok:
+                    g_val[r] = c_val[r]
+                trying = [r for r in trying if not c_val[r] < bar[r]]
             t *= 0.5
-        else:
-            cand, c_val, c_part = lam, g_val, part
-        if c_val >= g_val - 1e-15 and residual > 1e-6:
-            stall += 1
-            if stall >= 3:
-                raise InfeasibleMomentsError(
-                    f"dual objective stagnated at residual {residual:.3e}"
+        for r in live:
+            stuck = g_val[r] >= old[r] - 1e-15 and residual[r] > 1e-6
+            stall[r] = stall[r] + 1 if stuck else 0
+            if stall[r] >= 3:
+                errors[r] = InfeasibleMomentsError(
+                    f"dual objective stagnated at residual {residual[r]:.3e}"
                 )
-        else:
-            stall = 0
-        lam, g_val, part = cand, c_val, c_part
-    raise MaxIterationsError(residual, max_iter)
+        live = [r for r in live if errors[r] is None]
+    else:
+        for r in live:
+            errors[r] = MaxIterationsError(residual[r], max_iter)
+    return lam, iters, residual, g_val, log_z, vals, errors
 
 
 def fit_maxent(
@@ -134,32 +155,21 @@ def fit_maxent(
 ) -> FitResult:
     """Fit the maximum-entropy density with the given feature moments.
 
-    Each dimension is fitted independently; the result is the product
-    density, with the moment residual guaranteed below tol in sup norm.  It
-    keeps the log Z and node values of each dimension's last Newton step
-    rather than normalizing again.
+    Each dimension is one row of a batched Newton (_fit_rows); the result
+    is the product density, with the moment residual guaranteed below tol
+    in sup norm.  It keeps the log Z and node values of each dimension's
+    last Newton step rather than normalizing again.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     basis = mu.basis
-    m = basis.m
     rule = gauss_rule(order)
-    lam = np.empty(basis.n_features)
-    parts = []
-    iters = 0
-    residual = 0.0
-    dual = 0.0
-    for j in range(basis.dim):
-        lam_j, it_j, res_j, dual_j, part_j = _fit_1d(
-            mu.per_dim(j), basis, tol, max_iter, rule
-        )
-        lam[j * m : (j + 1) * m] = lam_j
-        parts.append(part_j)
-        iters = max(iters, it_j)
-        residual = max(residual, res_j)
-        dual += dual_j
-    density = ExpFamilyDensity._normalized(basis, lam, rule, parts)
-    return FitResult(density=density, iterations=iters, residual=residual, dual_value=dual)
+    fits = _fit_rows(mu.values.reshape(basis.dim, basis.m), rule, tol, max_iter)
+    lam, iters, residual, dual, log_z, vals, errors = fits
+    for err in filter(None, errors):  # the first failed dimension raises
+        raise err
+    density = ExpFamilyDensity._normalized(basis, lam.ravel(), rule, log_z, vals)
+    return FitResult(density, int(iters.max()), max(residual), sum(dual))
 
 
 def project(p: Density, basis: TensorBasis, order: int = 128) -> FitResult:

@@ -16,6 +16,7 @@ from momentadapt.bounds import smoothness_membership
 from momentadapt.densities import (
     BLOCK_ROWS,
     CDF_TABLE_SIZE,
+    GUIDE_SIZE,
     DensityError,
     ExpFamilyDensity,
     GridDensity,
@@ -24,7 +25,7 @@ from momentadapt.densities import (
     ProductDensity,
     Sample,
     _fd_derivative_values,
-    _interp_bucketed,
+    _inverse_cdf,
     _log_marginal,
     draw_sample,
     entropy,
@@ -346,8 +347,8 @@ def _sampled_density(draw):
 
 
 class TestSamplingBitIdentical:
-    """Bucket-ordered interpolation and the kept CDF tables leave every
-    sample bit for bit what plain np.interp on fresh tables gives."""
+    """The guide-table lookup and the kept CDF tables leave every sample
+    bit for bit what plain np.interp on fresh tables gives."""
 
     @staticmethod
     def _reference(p, k, seed):
@@ -378,20 +379,24 @@ class TestSamplingBitIdentical:
         assert draw_sample(p, k, seed).points.tobytes() == expected  # kept tables
 
     def test_bucket_order_matches_interp(self):
-        """Edge uniforms: 0.0, CDF table entries (runs of 0.0 among them),
-        repeats, bucket edges i/2^16 and the largest double below 1."""
+        """Edge uniforms: 0.0 (inside the CDF's leading run of 0.0), CDF table
+        entries, repeats, the guide's bucket edges b/2^13, the old 2^-16
+        bucket edges and the largest double below 1."""
         p = make_truncated_normal(0.5, 0.01, order=512)
         xs, cdf = trapezoid_cdf(lambda x: p.factor_pdf(0, x), CDF_TABLE_SIZE)
+        assert np.count_nonzero(cdf == 0.0) > 1
         u = np.concatenate(
             [
                 [0.0, np.nextafter(1.0, 0.0)],
                 cdf[cdf < 1.0],
                 np.repeat([0.25, 0.5, 0.75], 4),
+                np.arange(GUIDE_SIZE) / GUIDE_SIZE,
                 np.arange(65536) / 65536.0,
             ]
         )
         np.random.default_rng(0).shuffle(u)
-        assert _interp_bucketed(u, cdf, xs).tobytes() == np.interp(u, cdf, xs).tobytes()
+        got = _inverse_cdf(u, densities._cdf_table(p, 0))
+        assert got.tobytes() == np.interp(u, cdf, xs).tobytes()
 
     def test_cdf_table_built_once_per_factor(self, monkeypatch):
         calls = []

@@ -90,13 +90,15 @@ class TestSampleConcentration:
             ({"k_grid": (100,)}, "k_grid"),
             ({"k_grid": (100, 100)}, "k_grid"),
             ({"k_grid": (0, 100)}, "k_grid"),
+            ({"p": ExpFamilyDensity(make_tensor_basis(3, 2), np.zeros(6))}, "N = 2"),
         ],
     )
     def test_invalid_parameters_name_input(self, p, kwargs, name):
         """No ZeroDivisionError, math domain error or one-point slope fit:
-        every invalid parameter is a ValueError naming it."""
+        every invalid parameter is a ValueError naming it.  The bound
+        C e^{-c_inf} m/(k delta) has no N, so p must be one-dimensional."""
         with pytest.raises(ValueError, match=name):
-            sample_concentration(p, **{"k_grid": (10, 20), "trials": 1, **kwargs})
+            sample_concentration(**{"p": p, "k_grid": (10, 20), "trials": 1, **kwargs})
 
 
 class TestSection7Repro:

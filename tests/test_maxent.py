@@ -1,5 +1,7 @@
 """Tests for maximum-entropy fitting via the convex dual."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,12 +20,15 @@ from momentadapt.densities import (
 )
 from momentadapt.maxent import (
     InfeasibleMomentsError,
+    _condition_numbers,
+    _fit_rows,
     epsilon_gap,
     fit_maxent,
     maxent_entropy,
     project,
 )
 from momentadapt.metrics import l1_distance
+from momentadapt.quadrature import gauss_rule
 
 
 class TestFitMaxent:
@@ -141,6 +146,58 @@ class TestFitMaxent:
         assert fit.density.log_norm.tobytes() == fresh.log_norm.tobytes()
         for j in range(dim):
             assert fit.density.marginal_values(j).tobytes() == fresh.marginal_values(j).tobytes()
+
+
+class TestBatchedRows:
+    """_fit_rows fits a stack of 1-D moment rows in one Newton; each row is
+    the fit of that row alone."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(1, 4), data=st.data())
+    def test_rows_match_fit_maxent(self, m, data):
+        lams = data.draw(
+            st.lists(
+                st.lists(st.floats(-1.5, 1.5), min_size=m, max_size=m), min_size=1, max_size=6
+            )
+        )
+        basis = make_tensor_basis(m, 1)
+        mu = np.array([moments(ExpFamilyDensity(basis, np.array(lam)), basis).values for lam in lams])
+        lam, iters, residual, dual, log_z, vals, errors = _fit_rows(mu, gauss_rule(128))
+        assert errors == [None] * len(mu)
+        for b, row in enumerate(mu):
+            alone = fit_maxent(MomentVector(basis=basis, values=row))
+            np.testing.assert_allclose(lam[b], alone.density.lam, rtol=0, atol=1e-13)
+            assert iters[b] == alone.iterations
+            assert residual[b] == alone.residual and dual[b] == alone.dual_value
+            assert log_z[b] == -alone.density.log_norm[0]
+            assert vals[b].tobytes() == alone.density.marginal_values(0).tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)), max_size=5),
+        at=st.integers(0, 5),
+    )
+    def test_infeasible_row_fails_alone(self, rows, at):
+        """The moments (1.7, 1.9) lie outside the m=2 moment space; in a
+        stack only their row fails, with the error fit_maxent raises."""
+        mu = np.array(rows + [(0.0, 0.0)])  # feasible: the uniform density
+        at = min(at, len(mu))
+        mu = np.insert(mu, at, [1.7, 1.9], axis=0)
+        errors = _fit_rows(mu, gauss_rule(128))[-1]
+        assert [b for b, err in enumerate(errors) if err is not None] == [at]
+        assert isinstance(errors[at], InfeasibleMomentsError)
+        with pytest.raises(InfeasibleMomentsError, match=re.escape(str(errors[at]))):
+            fit_maxent(MomentVector(basis=make_tensor_basis(2, 1), values=np.array([1.7, 1.9])))
+
+
+def test_condition_numbers_match_cond():
+    """max|eig| / min|eig| is the 2-norm condition number of an SPD matrix."""
+    rng = np.random.default_rng(0)
+    for m in range(1, 7):
+        a = rng.standard_normal((40, m, m))
+        spd = a @ a.transpose(0, 2, 1) + 0.05 * np.eye(m)
+        want = np.array([np.linalg.cond(h) for h in spd])
+        np.testing.assert_allclose(_condition_numbers(spd), want, rtol=1e-12)
 
 
 class TestProjectionFunctionals:
