@@ -1,21 +1,24 @@
 """Probability densities on [0,1]^N: construction, functionals, sampling.
 
-Three concrete representations are used everywhere:
+The paper's product structure lives in one private type, _Factor: a 1-D
+density on its own Gauss rule, holding its normalized values at that
+rule's nodes, its pdf, and its inverse-CDF table, built on the first draw.
+Every density has `factors`, a tuple of _Factor for a product-form density
+and None for a multivariate grid density:
 
 * GridDensity -- values tabulated on a Gauss tensor grid, optionally with a
   closed-form evaluator (truncated normals, mixtures, ad-hoc test
-  densities).
-* ExpFamilyDensity -- the product exponential family
+  densities).  A 1-D one is its own single factor.
+* ProductDensity -- independent 1-D factors, one per coordinate, with the
+  product of their pdfs as its pdf.
+* ExpFamilyDensity -- the ProductDensity
   p(x) = prod_j c_j exp(-<lam_j, (eta_1..eta_m)(x_j)>)
   spanned by the per-coordinate Legendre features.  The basis contains only
   univariate terms, so members always factorize over dimensions.
-* ProductDensity -- independent 1-D densities, one per coordinate.
 
-Every density carries a `grid` whose rule j is its native 1-D quadrature
-for coordinate j.  Exponential-family members, products and 1-D densities
-are products of their 1-D marginals on that grid, so their functionals
-split into per-coordinate 1-D quadratures; only a multivariate
-GridDensity is integrated on the joint tensor grid.
+Rule j of a density's `grid` is the rule of factor j.  The functionals of a
+product-form density split into 1-D quadratures of its factors; only a
+multivariate GridDensity is integrated on the joint tensor grid.
 """
 
 from __future__ import annotations
@@ -121,6 +124,43 @@ class Sample:
         return buf.getvalue()
 
 
+class _Factor:
+    """A 1-D factor of a product-form density: its Gauss rule, its normalized
+    values at that rule's nodes, its pdf on [0,1] and its inverse-CDF table."""
+
+    def __init__(self, rule: QuadRule1D, values: np.ndarray, pdf: Callable[[np.ndarray], np.ndarray]):
+        self.rule = rule
+        self.values = values
+        self.values.setflags(write=False)
+        self.pdf = pdf
+
+    def values_at(self, rule: QuadRule1D) -> np.ndarray:
+        """The factor at the nodes of rule."""
+        return self.values if rule is self.rule else self.pdf(rule.nodes)
+
+    @functools.cached_property
+    def cdf_table(self) -> tuple[np.ndarray, ...]:
+        """Inverse-CDF table (points, CDF, cell slopes, cell guide), built on
+        the first draw and kept for later draws."""
+        xs, cdf = trapezoid_cdf(self.pdf, CDF_TABLE_SIZE)
+        with np.errstate(divide="ignore", over="ignore"):  # see _inverse_cdf
+            slope = np.diff(xs) / np.diff(cdf)
+        # guide[b] + 1 counts the j with cdf[j] <= b/G, that is ceil(cdf[j] * G) <= b
+        ceil = np.ceil(cdf * GUIDE_SIZE).astype(np.intp)
+        guide = np.cumsum(np.bincount(ceil, minlength=GUIDE_SIZE + 1))[:GUIDE_SIZE] - 1
+        table = (xs, cdf, slope, guide)
+        for arr in table:
+            arr.setflags(write=False)
+        return table
+
+
+def _scaled_raw(raw, z: float, pts: np.ndarray) -> np.ndarray:
+    """raw(pts) / z at a batch of points (k, N): the pdf of a grid density."""
+    if raw is None:
+        raise DensityError("density has no closed-form evaluator")
+    return np.asarray(raw(pts), dtype=float) / z
+
+
 class GridDensity:
     """Density tabulated on a Gauss tensor grid over [0,1]^N.
 
@@ -137,7 +177,6 @@ class GridDensity:
     ):
         self.grid = grid
         self._raw = raw
-        self._cdf_tables = [None] * grid.dim
         if values is None:
             if raw is None:
                 raise DensityError("need either node values or an evaluator")
@@ -151,6 +190,10 @@ class GridDensity:
         self._z = z
         self.values = values / z
         self.values.setflags(write=False)
+        # a 1-D grid density is its own single factor; its pdf does not refer
+        # back to the density, whose memory a reference cycle would hold
+        pdf = lambda x: _scaled_raw(raw, z, np.asarray(x, dtype=float).reshape(-1, 1))
+        self.factors = (_Factor(grid.rules[0], self.values, pdf),) if grid.dim == 1 else None
         if raw is not None:
             # resolution self-check: a grid too coarse for the density shows
             # up as a normalization error on the doubled grid; an axis at
@@ -177,23 +220,13 @@ class GridDensity:
         return self._raw is not None
 
     def pdf(self, x) -> np.ndarray:
-        if self._raw is None:
-            raise DensityError("density has no closed-form evaluator")
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        out = np.asarray(self._raw(pts), dtype=float) / self._z
-        return out[0] if single else out
+        out = _scaled_raw(self._raw, self._z, np.atleast_2d(x))
+        return out[0] if x.ndim == 1 else out
 
     def log_pdf(self, x) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return np.log(self.pdf(x))
-
-    def factor_pdf(self, j: int, x) -> np.ndarray:
-        """A 1-D grid density is its own only factor (j = 0)."""
-        if self.dim != 1:
-            raise DensityError("a multivariate grid density has no factors")
-        return self.pdf(np.asarray(x, dtype=float).reshape(-1, 1))
 
     def marginal_values(self, j: int) -> np.ndarray:
         """Marginal density of coordinate j at the nodes of grid.rules[j]."""
@@ -203,16 +236,30 @@ class GridDensity:
         return others.integrate_values(vals.reshape(rules[j].order, -1))
 
 
-def _product_pdf(p: "Density", x) -> np.ndarray:
-    """Product over coordinates of p.factor_pdf, at one point of shape (N,)
-    or a batch (k, N); the pdf of every product-form density class."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    out = np.ones(pts.shape[0])
-    for j in range(p.dim):
-        out *= p.factor_pdf(j, pts[:, j])
-    return out[0] if single else out
+class ProductDensity:
+    """Product of independent 1-D factors over [0,1]^N.
+
+    Rule j of `grid` is the rule of factor j.  Nothing is tabulated on the
+    joint grid: every functional of a product splits into 1-D functionals
+    of its factors.
+    """
+
+    def __init__(self, factors: tuple[_Factor, ...]):
+        self.factors = factors
+        self.grid = QuadGridND(rules=tuple(f.rule for f in factors))
+
+    @property
+    def dim(self) -> int:
+        return len(self.factors)
+
+    def pdf(self, x) -> np.ndarray:
+        """Product of the factor pdfs, at one point of shape (N,) or a batch (k, N)."""
+        x = np.asarray(x, dtype=float)
+        pts = np.atleast_2d(x)
+        out = np.ones(pts.shape[0])
+        for j, f in enumerate(self.factors):
+            out *= f.pdf(pts[:, j])
+        return out[0] if x.ndim == 1 else out
 
 
 def _log_partition(
@@ -229,7 +276,7 @@ def _log_partition(
     return log_z, np.exp(expo - log_z[:, None])
 
 
-class ExpFamilyDensity:
+class ExpFamilyDensity(ProductDensity):
     """Member of the product exponential family over [0,1]^N.
 
     Parameterized as p(x) = prod_j c_j exp(-<lam_j, phi_j(x_j)>), matching
@@ -243,6 +290,8 @@ class ExpFamilyDensity:
             raise DensityError(
                 f"lambda must have length {basis.n_features}, got {lam.shape}"
             )
+        if not np.isfinite(lam).all():
+            raise DensityError(f"lambda must be finite, got {lam.tolist()}")
         rule = gauss_rule(order)
         feats = feature_table(rule, basis.m)  # (n, m)
         log_z, vals = _log_partition(rule, feats, lam.reshape(basis.dim, basis.m))
@@ -261,73 +310,27 @@ class ExpFamilyDensity:
         self.basis = basis
         self.lam = lam
         self.lam.setflags(write=False)
-        self.grid = QuadGridND(rules=(rule,) * basis.dim)
-        # factor densities at the rule nodes, kept so that moments, entropy
-        # and KL never recompute the exponentials
-        self._log_z = log_z
-        self._factor_node_vals = vals
-        self._log_z.setflags(write=False)
-        self._factor_node_vals.setflags(write=False)
-        self._cdf_tables = [None] * basis.dim
+        self.log_norm = -log_z  # per-dimension log c_j = -log Z_j
+        self.log_norm.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
+        def factor(j: int) -> _Factor:
+            lam_j, log_z_j = self.lam_dim(j), log_z[j]
 
-    @property
-    def log_norm(self) -> np.ndarray:
-        """Per-dimension log normalization constants log c_j = -log Z_j."""
-        return -self._log_z
+            def pdf(x):
+                feats = basis.per_dim.eval_all(np.asarray(x, dtype=float))[..., 1:]
+                return np.exp(-feats @ lam_j - log_z_j)
+
+            # kept node values: moments, entropy and KL never recompute exp
+            return _Factor(rule, vals[j], pdf)
+
+        super().__init__(tuple(map(factor, range(basis.dim))))
 
     def lam_dim(self, j: int) -> np.ndarray:
         m = self.basis.m
         return self.lam[j * m : (j + 1) * m]
 
-    pdf = _product_pdf
 
-    def factor_pdf(self, j: int, x) -> np.ndarray:
-        """1-D marginal factor along dimension j."""
-        x = np.asarray(x, dtype=float)
-        feats = self.basis.per_dim.eval_all(x)[..., 1:]
-        return np.exp(-feats @ self.lam_dim(j) - self._log_z[j])
-
-    def marginal_values(self, j: int) -> np.ndarray:
-        """Factor j at the nodes of grid.rules[j]."""
-        return self._factor_node_vals[j]
-
-
-class ProductDensity:
-    """Product of independent 1-D densities over [0,1]^N.
-
-    Rule j of `grid` is the native rule of factor j.  Nothing is tabulated
-    on the joint grid: every functional of a product splits into 1-D
-    functionals of its factors.
-    """
-
-    def __init__(self, factors: Sequence[Density]):
-        factors = tuple(factors)
-        if not factors or any(f.dim != 1 for f in factors):
-            raise DensityError("factors must be one-dimensional")
-        self.factors = factors
-        self.grid = QuadGridND(rules=tuple(f.grid.rules[0] for f in factors))
-        self._cdf_tables = [None] * len(factors)
-
-    @property
-    def dim(self) -> int:
-        return len(self.factors)
-
-    pdf = _product_pdf
-
-    def factor_pdf(self, j: int, x) -> np.ndarray:
-        """1-D density of factor j."""
-        return self.factors[j].factor_pdf(0, x)
-
-    def marginal_values(self, j: int) -> np.ndarray:
-        """Factor j at the nodes of grid.rules[j]."""
-        return self.factors[j].marginal_values(0)
-
-
-Density = Union[GridDensity, ExpFamilyDensity, ProductDensity]
+Density = Union[GridDensity, ProductDensity]
 
 
 def native_order(p: Density) -> int:
@@ -335,23 +338,13 @@ def native_order(p: Density) -> int:
     return max(r.order for r in p.grid.rules)
 
 
-def _is_product(p: Density) -> bool:
-    """Whether p is the product of its 1-D marginals on p.grid."""
-    return p.dim == 1 or not isinstance(p, GridDensity)
-
-
-def factor_values(p: Density, j: int, rule: QuadRule1D) -> np.ndarray:
-    """Factor j of a product-form density at the nodes of rule."""
-    return p.marginal_values(j) if rule is p.grid.rules[j] else p.factor_pdf(j, rule.nodes)
-
-
 def grid_values(p: Density, grid: QuadGridND) -> np.ndarray:
     """p at the nodes of grid, in grid.nodes() order: the outer product of the
     factor values of a product, the stored values of a grid density on its
     own grid, else p.pdf at the joint nodes."""
-    if _is_product(p):
+    if p.factors:
         grid.check_budget()
-        factors = (factor_values(p, j, rule) for j, rule in enumerate(grid.rules))
+        factors = (f.values_at(rule) for f, rule in zip(p.factors, grid.rules))
         return functools.reduce(np.multiply.outer, factors).ravel()
     return p.values if grid == p.grid else p.pdf(grid.nodes())
 
@@ -387,14 +380,17 @@ def from_callable(
 
 
 def product_density(factors: Sequence[Density]) -> ProductDensity:
-    """Product of independent 1-D densities."""
-    return ProductDensity(factors)
+    """Product of independent 1-D densities, sharing their factors."""
+    densities = tuple(factors)
+    if not densities or any(d.dim != 1 for d in densities):
+        raise DensityError("factors must be one-dimensional")
+    return ProductDensity(tuple(d.factors[0] for d in densities))
 
 
 def marginal_pdf(p: Density, j: int) -> Callable[[np.ndarray], np.ndarray]:
     """Closed-form marginal density of coordinate j as a callable on [0,1]."""
-    if _is_product(p):
-        return lambda x: p.factor_pdf(j, x)
+    if p.factors:
+        return p.factors[j].pdf
     if not p.has_evaluator:
         raise DensityError("marginal of a value-only grid density is undefined")
     other = [ax for ax in range(p.dim) if ax != j]
@@ -422,7 +418,8 @@ def moments(p: Density, basis: TensorBasis) -> MomentVector:
     out = np.empty(basis.n_features)
     for j, rule in enumerate(p.grid.rules):
         feats = feature_table(rule, m)
-        out[j * m : (j + 1) * m] = feats.T @ (rule.weights * p.marginal_values(j))
+        marginal = p.factors[j].values if p.factors else p.marginal_values(j)
+        out[j * m : (j + 1) * m] = feats.T @ (rule.weights * marginal)
     return MomentVector(basis=basis, values=out)
 
 
@@ -472,10 +469,10 @@ def _xlogx(vals: np.ndarray) -> np.ndarray:
 
 def entropy(p: Density) -> float:
     """Shannon differential entropy -int p log p, with 0*log(0) = 0."""
-    if _is_product(p):
+    if p.factors:
         total = 0.0
-        for j, rule in enumerate(p.grid.rules):
-            total += -rule.integrate_values(_xlogx(p.marginal_values(j)))
+        for f in p.factors:
+            total += -f.rule.integrate_values(_xlogx(f.values))
         return total
     return -p.grid.integrate_values(_xlogx(p.values))
 
@@ -493,24 +490,6 @@ def trapezoid_cdf(
     if cdf[-1] <= 0:
         raise DensityError("degenerate CDF: the density integrates to zero")
     return xs, cdf / cdf[-1]
-
-
-def _cdf_table(p: Density, j: int) -> tuple[np.ndarray, ...]:
-    """Inverse-CDF table (points, CDF, cell slopes, cell guide) of factor j
-    of p, built on the first draw and kept on p for later draws."""
-    table = p._cdf_tables[j]
-    if table is None:
-        xs, cdf = trapezoid_cdf(lambda x: p.factor_pdf(j, x), CDF_TABLE_SIZE)
-        with np.errstate(divide="ignore", over="ignore"):  # see _inverse_cdf
-            slope = np.diff(xs) / np.diff(cdf)
-        # guide[b] + 1 counts the j with cdf[j] <= b/G, that is ceil(cdf[j] * G) <= b
-        ceil = np.ceil(cdf * GUIDE_SIZE).astype(np.intp)
-        guide = np.cumsum(np.bincount(ceil, minlength=GUIDE_SIZE + 1))[:GUIDE_SIZE] - 1
-        table = (xs, cdf, slope, guide)
-        for arr in table:
-            arr.setflags(write=False)
-        p._cdf_tables[j] = table
-    return table
 
 
 def _inverse_cdf(u: np.ndarray, table: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -548,7 +527,7 @@ def draw_sample(p: Density, k: int, seed: int) -> Sample:
     """
     if k < 1:
         raise DensityError("sample size must be >= 1")
-    if not _is_product(p):
+    if not p.factors:
         raise DensityError(
             "sampling requires a product-form density (expfam, 1-D, or "
             "product_density)"
@@ -558,7 +537,7 @@ def draw_sample(p: Density, k: int, seed: int) -> Sample:
             f"{k} x {p.dim} sample values exceed MAX_NODES = {quadrature.MAX_NODES}"
         )
     rng = np.random.default_rng(seed)
-    tables = [_cdf_table(p, j) for j in range(p.dim)]
+    tables = [f.cdf_table for f in p.factors]
     pts = np.empty((k, p.dim))
     for lo in range(0, k, BLOCK_ROWS):
         u = rng.random((min(BLOCK_ROWS, k - lo), p.dim))
@@ -638,15 +617,15 @@ def sup_log_density(p: Density) -> float:
     sums of the per-coordinate extremes.  A density that vanishes somewhere
     gives inf.
     """
-    if _is_product(p):
+    if p.factors:
         total_max = 0.0
         total_min = 0.0
-        for j, rule in enumerate(p.grid.rules):
+        for f in p.factors:
             xs = np.unique(
-                np.concatenate([np.linspace(0, 1, SUP_LOG_REFINE * rule.order + 1), rule.nodes])
+                np.concatenate([np.linspace(0, 1, SUP_LOG_REFINE * f.rule.order + 1), f.rule.nodes])
             )
             with np.errstate(divide="ignore"):
-                lv = np.log(p.factor_pdf(j, xs))
+                lv = np.log(f.pdf(xs))
             total_max += float(np.max(lv))
             total_min += float(np.min(lv))
         return max(abs(total_max), abs(total_min))

@@ -241,6 +241,8 @@ def theorem1_empirical_verification(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if m != len(H30_LAMBDA_BOX):
+        raise ValueError(f"got m = {m}, but H30_LAMBDA_BOX is defined for m = 3 only")
     basis = make_tensor_basis(m, dim)
     box = np.tile(H30_LAMBDA_BOX, dim)
     c_val = constant_C_simple(m)

@@ -20,8 +20,6 @@ from .densities import (
     ExpFamilyDensity,
     MomentVector,
     Sample,
-    _is_product,
-    factor_values,
     grid_values,
     marginal_pdf,
     moments,
@@ -64,10 +62,10 @@ def kl_divergence(p: Density, q: Density, order: Optional[int] = None) -> float:
     exactly when one exists in some factor.
     """
     grid = _common_grid(p, q, order)
-    if _is_product(p) and _is_product(q):
+    if p.factors and q.factors:
         return sum(
-            _kl_on_grid(factor_values(p, j, r), factor_values(q, j, r), QuadGridND((r,)))
-            for j, r in enumerate(grid.rules)
+            _kl_on_grid(fp.values_at(r), fq.values_at(r), QuadGridND((r,)))
+            for fp, fq, r in zip(p.factors, q.factors, grid.rules)
         )
     return _kl_on_grid(grid_values(p, grid), grid_values(q, grid), grid)
 

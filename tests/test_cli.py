@@ -311,6 +311,12 @@ class TestDistance:
         assert code == 0
         assert abs(json.loads(out)["value"]) <= 1e-12
 
+    def test_non_finite_expfam_lambda_exits_1(self, capsys):
+        spec = '{"type":"expfam","m":1,"N":1,"lambda":[NaN]}'
+        code, out, err = run_cli(capsys, "distance", "--p", spec, "--q", self.P, "--metric", "kl")
+        assert (code, out) == (1, "")
+        assert "finite" in err
+
     def test_expfam_n5_l1_over_budget_kl_factorized(self, capsys):
         """At N=5 the joint grid exceeds the node budget: L1 exits 1 with the
         error on stderr, while KL adds the five 1-D KLs."""

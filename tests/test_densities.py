@@ -145,13 +145,37 @@ class TestExpFamilyDensity:
         total = grid.integrate(p.pdf)
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_product_structure(self):
-        """Joint pdf equals the product of factor pdfs."""
-        basis = make_tensor_basis(2, 2)
-        p = ExpFamilyDensity(basis=basis, lam=np.array([0.5, -0.3, 0.2, 0.4]))
-        pts = np.random.default_rng(2).random((6, 2))
-        factored = p.factor_pdf(0, pts[:, 0]) * p.factor_pdf(1, pts[:, 1])
-        np.testing.assert_allclose(p.pdf(pts), factored, rtol=1e-12)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        dim=st.integers(2, 3),
+        lams=st.lists(st.floats(-1.5, 1.5), min_size=30, max_size=30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=2, dim=2, lams=[0.5, -0.3, 0.2, 0.4] * 7 + [0.0] * 2, seed=2)
+    def test_product_of_its_members(self, m, dim, lams, seed):
+        """An N-D member is the product_density of its 1-D members, bit for
+        bit: pdf, moments, entropy, KL, L1 (N <= 2) and samples."""
+        basis, one = make_tensor_basis(m, dim), make_tensor_basis(m, 1)
+
+        def pair(lam):
+            joint = ExpFamilyDensity(basis, np.array(lam[: m * dim]))
+            return joint, product_density(ExpFamilyDensity(one, joint.lam_dim(j)) for j in range(dim))
+
+        (p, p_prod), (q, q_prod) = pair(lams[:15]), pair(lams[15:])
+        pts = np.random.default_rng(seed).random((6, dim))
+        assert p.pdf(pts).tobytes() == p_prod.pdf(pts).tobytes()
+        assert moments(p, basis).values.tobytes() == moments(p_prod, basis).values.tobytes()
+        assert entropy(p) == entropy(p_prod)
+        assert kl_divergence(p, q) == kl_divergence(p_prod, q_prod)
+        if dim <= 2:
+            assert l1_distance(p, q) == l1_distance(p_prod, q_prod)
+        assert draw_sample(p, 100, seed).points.tobytes() == draw_sample(p_prod, 100, seed).points.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda_rejected(self, bad):
+        with pytest.raises(DensityError, match="finite"):
+            ExpFamilyDensity(make_tensor_basis(2, 1), np.array([0.1, bad]))
 
     def test_log_quadratic_is_truncated_normal(self):
         """lam reproducing -x^2/(2 s^2) matches the truncated normal."""
@@ -277,7 +301,7 @@ class TestMarginals:
         basis = make_tensor_basis(2, 2)
         p = ExpFamilyDensity(basis=basis, lam=np.array([0.5, -0.3, 0.2, 0.4]))
         xs = np.linspace(0, 1, 11)
-        np.testing.assert_allclose(marginal_pdf(p, 1)(xs), p.factor_pdf(1, xs))
+        np.testing.assert_allclose(marginal_pdf(p, 1)(xs), p.factors[1].pdf(xs))
 
 
 class TestSampling:
@@ -355,7 +379,7 @@ class TestSamplingBitIdentical:
         u = np.random.default_rng(seed).random((k, p.dim))
         cols = []
         for j in range(p.dim):
-            xs, cdf = trapezoid_cdf(lambda x: p.factor_pdf(j, x), CDF_TABLE_SIZE)
+            xs, cdf = trapezoid_cdf(lambda x: p.factors[j].pdf(x), CDF_TABLE_SIZE)
             cols.append(np.interp(u[:, j], cdf, xs))
         return np.column_stack(cols)
 
@@ -383,7 +407,7 @@ class TestSamplingBitIdentical:
         entries, repeats, the guide's bucket edges b/2^13, the old 2^-16
         bucket edges and the largest double below 1."""
         p = make_truncated_normal(0.5, 0.01, order=512)
-        xs, cdf = trapezoid_cdf(lambda x: p.factor_pdf(0, x), CDF_TABLE_SIZE)
+        xs, cdf = trapezoid_cdf(lambda x: p.factors[0].pdf(x), CDF_TABLE_SIZE)
         assert np.count_nonzero(cdf == 0.0) > 1
         u = np.concatenate(
             [
@@ -395,7 +419,7 @@ class TestSamplingBitIdentical:
             ]
         )
         np.random.default_rng(0).shuffle(u)
-        got = _inverse_cdf(u, densities._cdf_table(p, 0))
+        got = _inverse_cdf(u, p.factors[0].cdf_table)
         assert got.tobytes() == np.interp(u, cdf, xs).tobytes()
 
     def test_cdf_table_built_once_per_factor(self, monkeypatch):
@@ -408,6 +432,19 @@ class TestSamplingBitIdentical:
         draw_sample(p, 100, 0)
         draw_sample(p, 100, 1)
         assert len(calls) == 2
+
+    def test_product_shares_its_members_tables(self, monkeypatch):
+        """A product keeps the factors of its members, and with them their
+        CDF tables: one table serves p and both coordinates of p x p."""
+        calls = []
+        build = densities.trapezoid_cdf
+        monkeypatch.setattr(
+            densities, "trapezoid_cdf", lambda *args: calls.append(1) or build(*args)
+        )
+        p = make_truncated_normal(0.4, 0.2)
+        draw_sample(p, 100, 0)
+        draw_sample(product_density([p, p]), 100, 1)
+        assert len(calls) == 1
 
     def test_sample_size_within_node_budget(self, monkeypatch):
         """k * N sample values are checked against MAX_NODES before the

@@ -49,6 +49,11 @@ class TestTheorem1Verification:
         assert record.summary["slack_min"] >= 0
         assert record.summary["slack_median"] >= record.summary["slack_min"]
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_orders_without_a_lambda_box_rejected(self, m):
+        with pytest.raises(ValueError, match=f"m = {m}, but H30_LAMBDA_BOX is defined for m = 3 only"):
+            theorem1_empirical_verification(trials=1, m=m)
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_multivariate_pairs(self, dim):
         """The lambda box is tiled per coordinate, so the verification runs

@@ -145,7 +145,7 @@ class TestFitMaxent:
         assert fit.density.grid == fresh.grid
         assert fit.density.log_norm.tobytes() == fresh.log_norm.tobytes()
         for j in range(dim):
-            assert fit.density.marginal_values(j).tobytes() == fresh.marginal_values(j).tobytes()
+            assert fit.density.factors[j].values.tobytes() == fresh.factors[j].values.tobytes()
 
 
 class TestBatchedRows:
@@ -170,7 +170,7 @@ class TestBatchedRows:
             assert iters[b] == alone.iterations
             assert residual[b] == alone.residual and dual[b] == alone.dual_value
             assert log_z[b] == -alone.density.log_norm[0]
-            assert vals[b].tobytes() == alone.density.marginal_values(0).tobytes()
+            assert vals[b].tobytes() == alone.density.factors[0].values.tobytes()
 
     @settings(max_examples=20, deadline=None)
     @given(

@@ -22,6 +22,7 @@ from momentadapt.densities import (
     product_density,
     uniform_density,
 )
+from momentadapt.maxent import project
 from momentadapt.metrics import (
     Classifier,
     Labeling,
@@ -114,6 +115,25 @@ class TestKL:
             for j in range(2)
         )
         assert joint == pytest.approx(split, abs=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        mean=st.floats(0.05, 0.95),
+        sigma=st.floats(0.05, 1.0),
+        m=st.integers(2, 5),
+        data=st.data(),
+    )
+    def test_pythagorean_identity(self, mean, sigma, m, data):
+        """D(p||q) = D(p||p*) + D(p*||q) for the information projection p* of
+        p and any member q (Csiszar, Ann. Probab. 1975): the factor-wise KL,
+        project and the closed form agree up to the Newton tolerance."""
+        basis = make_tensor_basis(m, 1)
+        p = make_truncated_normal(mean, sigma)
+        p_star = project(p, basis).density
+        lam = data.draw(st.lists(st.floats(-1.5, 1.5), min_size=m, max_size=m))
+        q = ExpFamilyDensity(basis, np.array(lam))
+        split = kl_divergence(p, p_star) + kl_expfam_closed_form(p_star, q)
+        assert kl_divergence(p, q) == pytest.approx(split, rel=1e-7)
 
 
 class TestMomentL1:
